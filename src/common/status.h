@@ -28,7 +28,7 @@ enum class StatusCode {
 const char* StatusCodeName(StatusCode code);
 
 // A status code plus an optional message. Cheap to copy in the OK case.
-class Status {
+class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message) : code_(code), message_(std::move(message)) {}
@@ -82,7 +82,7 @@ inline Status IoError(std::string msg) { return Status(StatusCode::kIoError, std
 
 // Holds either a T or a non-OK Status.
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   StatusOr(Status status) : rep_(std::move(status)) {  // NOLINT: implicit by design
     assert(!std::get<Status>(rep_).ok() && "StatusOr constructed from OK status without value");

@@ -1,8 +1,28 @@
 #include "src/core/compactor.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace vlog::core {
+
+std::vector<uint64_t> CompactableTracks(const FreeSpaceMap& space,
+                                        std::span<const uint32_t> pinned_blocks) {
+  std::vector<uint64_t> pinned_tracks;
+  pinned_tracks.reserve(pinned_blocks.size());
+  for (const uint32_t block : pinned_blocks) {
+    if (space.state(block) == BlockState::kLive) {
+      pinned_tracks.push_back(space.TrackOfBlock(block));
+    }
+  }
+  std::sort(pinned_tracks.begin(), pinned_tracks.end());
+  std::vector<uint64_t> tracks;
+  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+    if (space.LiveInTrack(t) != 0 && !space.TrackHasSystem(t) &&
+        !std::binary_search(pinned_tracks.begin(), pinned_tracks.end(), t)) {
+      tracks.push_back(t);
+    }
+  }
+  return tracks;
+}
 
 Compactor::Compactor(CompactionBackend* backend, simdisk::SimDisk* disk,
                      EagerAllocator* allocator, VirtualLog* vlog, CompactorConfig config,
@@ -13,17 +33,6 @@ Compactor::Compactor(CompactionBackend* backend, simdisk::SimDisk* disk,
       vlog_(vlog),
       config_(config),
       rng_(seed) {}
-
-uint64_t Compactor::CountEmptyTracks() const {
-  const FreeSpaceMap& space = allocator_->space();
-  uint64_t empty = 0;
-  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    if (space.TrackEmpty(t)) {
-      ++empty;
-    }
-  }
-  return empty;
-}
 
 void Compactor::AbandonResume() {
   if (resume_track_.has_value()) {
@@ -37,25 +46,15 @@ bool Compactor::Compactable(uint64_t track) const {
   if (space.LiveInTrack(track) == 0 || space.TrackHasSystem(track)) {
     return false;
   }
-  // Pinned map sectors cannot be moved (their on-disk pointers are load-bearing); skip
-  // tracks containing one — the pinned-sector valve bounds how long that lasts.
-  const uint32_t base = static_cast<uint32_t>(track * space.blocks_per_track());
-  for (uint32_t b = 0; b < space.blocks_per_track(); ++b) {
-    if (space.state(base + b) == BlockState::kLive && vlog_->IsPinnedBlock(base + b)) {
-      return false;
-    }
-  }
-  return true;
+  const std::vector<uint32_t> pinned = vlog_->PinnedBlocks();
+  return std::none_of(pinned.begin(), pinned.end(), [&](uint32_t block) {
+    return space.TrackOfBlock(block) == track && space.state(block) == BlockState::kLive;
+  });
 }
 
 std::optional<uint64_t> Compactor::PickVictim() {
-  const FreeSpaceMap& space = allocator_->space();
-  std::vector<uint64_t> candidates;
-  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    if (Compactable(t)) {
-      candidates.push_back(t);
-    }
-  }
+  const std::vector<uint64_t> candidates =
+      CompactableTracks(allocator_->space(), vlog_->PinnedBlocks());
   if (candidates.empty()) {
     return std::nullopt;
   }
@@ -130,7 +129,7 @@ uint32_t Compactor::Run(common::Time deadline, bool preemptible, uint32_t target
   // in place); tolerate a bounded number of such failures rather than giving up the interval.
   uint32_t failures = 0;
   while (disk_->clock()->Now() < deadline && failures < 8) {
-    if (CountEmptyTracks() >= target_empty_tracks) {
+    if (allocator_->space().EmptyTrackCount() >= target_empty_tracks) {
       AbandonResume();
       break;
     }

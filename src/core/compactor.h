@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -43,6 +45,13 @@ struct CompactorStats {
   common::Duration busy_time = 0;
 };
 
+// The tracks a compactor may pick as victims, ascending: tracks with live blocks, no system
+// block, and no live block among `pinned_blocks`. Pinned map sectors cannot be moved (their
+// on-disk pointers are load-bearing); the pinned-sector valve bounds how long that lasts.
+// Costs one pass over the pinned blocks plus one per-track count check, never a block probe.
+std::vector<uint64_t> CompactableTracks(const FreeSpaceMap& space,
+                                        std::span<const uint32_t> pinned_blocks);
+
 class Compactor {
  public:
   Compactor(CompactionBackend* backend, simdisk::SimDisk* disk, EagerAllocator* allocator,
@@ -75,7 +84,6 @@ class Compactor {
   bool Compactable(uint64_t track) const;
   std::optional<uint64_t> PickVictim();
   bool CompactTrack(uint64_t track, common::Time deadline, bool preemptible, bool* interrupted);
-  uint64_t CountEmptyTracks() const;
 
   std::optional<uint64_t> resume_track_;
 

@@ -1,5 +1,6 @@
 #include "src/core/free_space.h"
 
+#include <bit>
 #include <cassert>
 
 namespace vlog::core {
@@ -19,12 +20,32 @@ FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block
   track_system_.assign(tracks, 0);
   free_blocks_ = states_.size();
   empty_tracks_ = tracks;
+  index_words_ = (tracks + 63) / 64;
+  hole_index_.assign(static_cast<size_t>(blocks_per_track_) * index_words_, 0);
+  hole_level_size_.assign(blocks_per_track_, 0);
+}
+
+void FreeSpaceMap::IndexRemove(uint64_t track) {
+  if (HasHoles(track)) {
+    const uint32_t live = track_live_[track];
+    hole_index_[live * index_words_ + track / 64] &= ~(uint64_t{1} << (track % 64));
+    --hole_level_size_[live];
+  }
+}
+
+void FreeSpaceMap::IndexInsert(uint64_t track) {
+  if (HasHoles(track)) {
+    const uint32_t live = track_live_[track];
+    hole_index_[live * index_words_ + track / 64] |= uint64_t{1} << (track % 64);
+    ++hole_level_size_[live];
+  }
 }
 
 void FreeSpaceMap::MarkSystem(uint32_t block) {
   assert(states_[block] == BlockState::kFree);
   states_[block] = BlockState::kSystem;
   const uint64_t track = TrackOfBlock(block);
+  IndexRemove(track);
   if (TrackEmpty(track)) {
     --empty_tracks_;
   }
@@ -33,12 +54,14 @@ void FreeSpaceMap::MarkSystem(uint32_t block) {
   ++track_system_[track];
   --free_blocks_;
   ++system_blocks_;
+  IndexInsert(track);
 }
 
 void FreeSpaceMap::MarkLive(uint32_t block) {
   assert(states_[block] == BlockState::kFree);
   states_[block] = BlockState::kLive;
   const uint64_t track = TrackOfBlock(block);
+  IndexRemove(track);
   if (TrackEmpty(track)) {
     --empty_tracks_;
   }
@@ -47,12 +70,14 @@ void FreeSpaceMap::MarkLive(uint32_t block) {
   ++track_live_[track];
   --free_blocks_;
   ++live_blocks_;
+  IndexInsert(track);
 }
 
 void FreeSpaceMap::Free(uint32_t block) {
   assert(states_[block] == BlockState::kLive);
   states_[block] = BlockState::kFree;
   const uint64_t track = TrackOfBlock(block);
+  IndexRemove(track);
   ++track_free_[track];
   ++cyl_free_[CylinderOfTrack(track)];
   --track_live_[track];
@@ -61,6 +86,7 @@ void FreeSpaceMap::Free(uint32_t block) {
   if (TrackEmpty(track)) {
     ++empty_tracks_;
   }
+  IndexInsert(track);
 }
 
 bool FreeSpaceMap::TrackEmpty(uint64_t track) const {
@@ -84,6 +110,28 @@ std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track, uint32_
         *skip_sectors = (start + sectors_per_track_ - from_sector) % sectors_per_track_;
       }
       return base + slot;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<uint64_t> FreeSpaceMap::FullestTrackWithHoles(
+    std::optional<uint64_t> excluded) const {
+  // A track with holes has at most blocks_per_track_ - 1 live blocks; walk the levels from
+  // there down, and within a level take the lowest set bit.
+  for (uint32_t live = blocks_per_track_ - 1; live > 0; --live) {
+    if (hole_level_size_[live] == 0) {
+      continue;
+    }
+    const uint64_t* words = &hole_index_[live * index_words_];
+    for (uint64_t w = 0; w < index_words_; ++w) {
+      uint64_t bits = words[w];
+      if (excluded && *excluded / 64 == w) {
+        bits &= ~(uint64_t{1} << (*excluded % 64));
+      }
+      if (bits != 0) {
+        return w * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+      }
     }
   }
   return std::nullopt;

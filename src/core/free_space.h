@@ -62,6 +62,12 @@ class FreeSpaceMap {
   std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector,
                                              uint32_t* skip_sectors) const;
 
+  // The fullest track with holes: among tracks holding at least one live and one free block,
+  // other than `excluded`, the one with the most live blocks, ties going to the lowest index.
+  // The compactor's hole-plugging allocation packs into it. Answered from the live-count index
+  // below without visiting every track; nullopt when no track qualifies.
+  std::optional<uint64_t> FullestTrackWithHoles(std::optional<uint64_t> excluded) const;
+
   // Fraction of allocatable (non-system) blocks that are live.
   double Utilization() const;
 
@@ -73,6 +79,11 @@ class FreeSpaceMap {
 
  private:
   uint64_t CylinderOfTrack(uint64_t track) const { return track / tracks_per_cylinder_; }
+  bool HasHoles(uint64_t track) const { return track_live_[track] > 0 && track_free_[track] > 0; }
+  // Every state change brackets its count updates with these two: the track leaves its old
+  // live-count level and joins the new one, each only while it has holes.
+  void IndexRemove(uint64_t track);
+  void IndexInsert(uint64_t track);
 
   uint32_t block_sectors_;
   uint32_t blocks_per_track_;
@@ -87,6 +98,12 @@ class FreeSpaceMap {
   uint64_t live_blocks_ = 0;
   uint64_t system_blocks_ = 0;
   uint64_t empty_tracks_ = 0;
+  // Live-count index, one flat bitset of tracks per live count: bit t of level `live` (word
+  // live * index_words_ + t / 64) is set exactly when HasHoles(t) and LiveInTrack(t) == live.
+  // hole_level_size_[live] counts the level's set bits so empty levels cost one compare.
+  uint64_t index_words_ = 0;
+  std::vector<uint64_t> hole_index_;
+  std::vector<uint32_t> hole_level_size_;
 };
 
 }  // namespace vlog::core

@@ -1,6 +1,8 @@
 #include "src/core/map_sector.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
@@ -35,17 +37,19 @@ uint32_t EpochSeed(uint64_t epoch) {
 
 std::vector<std::byte> MapSector::Serialize(uint64_t epoch) const {
   std::vector<std::byte> raw(kMapSectorBytes);
-  SerializeInto(raw, epoch);
+  SerializeWithEntries(raw, entries, epoch);
   return raw;
 }
 
-void MapSector::SerializeInto(std::span<std::byte> out, uint64_t epoch) const {
+void MapSector::SerializeWithEntries(std::span<std::byte> out,
+                                     std::span<const uint32_t> piece_entries,
+                                     uint64_t epoch) const {
   out = out.first(kMapSectorBytes);
   std::fill(out.begin(), out.end(), std::byte{0});
   common::StoreLe<uint64_t>(out, kOffMagic, kMapSectorMagic);
   common::StoreLe<uint64_t>(out, kOffSeq, seq);
   common::StoreLe<uint32_t>(out, kOffPiece, piece);
-  common::StoreLe<uint32_t>(out, kOffEntryCount, static_cast<uint32_t>(entries.size()));
+  common::StoreLe<uint32_t>(out, kOffEntryCount, static_cast<uint32_t>(piece_entries.size()));
   common::StoreLe<uint64_t>(out, kOffTxnId, txn_id);
   common::StoreLe<uint16_t>(out, kOffTxnIndex, txn_index);
   common::StoreLe<uint16_t>(out, kOffTxnTotal, txn_total);
@@ -53,8 +57,15 @@ void MapSector::SerializeInto(std::span<std::byte> out, uint64_t epoch) const {
   common::StoreLe<uint64_t>(out, kOffPrevSeq, prev.seq);
   common::StoreLe<uint64_t>(out, kOffBypassLba, bypass.lba);
   common::StoreLe<uint64_t>(out, kOffBypassSeq, bypass.seq);
-  for (size_t i = 0; i < entries.size() && i < kEntriesPerSector; ++i) {
-    common::StoreLe<uint32_t>(out, kOffEntries + i * 4, entries[i]);
+  const size_t stored = std::min<size_t>(piece_entries.size(), kEntriesPerSector);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (stored > 0) {  // Host order is the on-disk order: one block copy.
+      std::memcpy(out.data() + kOffEntries, piece_entries.data(), stored * 4);
+    }
+  } else {
+    for (size_t i = 0; i < stored; ++i) {
+      common::StoreLe<uint32_t>(out, kOffEntries + i * 4, piece_entries[i]);
+    }
   }
   const uint32_t crc = common::Crc32c(
       std::span<const std::byte>(out.data(), kOffCrc), EpochSeed(epoch));

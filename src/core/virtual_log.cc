@@ -286,7 +286,6 @@ common::Status VirtualLog::AppendOne(uint32_t piece, const std::vector<uint32_t>
   MapSector sector;
   sector.seq = next_seq_;
   sector.piece = piece;
-  sector.entries = entries;
   sector.txn_id = txn_id;
   sector.txn_index = txn_index;
   sector.txn_total = txn_total;
@@ -304,7 +303,7 @@ common::Status VirtualLog::AppendOne(uint32_t piece, const std::vector<uint32_t>
   }
   const simdisk::Lba lba = allocator_->space().BlockToLba(*block);
   append_scratch_.resize(kMapSectorBytes);
-  sector.SerializeInto(append_scratch_, epoch_);
+  sector.SerializeWithEntries(append_scratch_, entries, epoch_);
   RETURN_IF_ERROR(disk_->InternalWrite(lba, append_scratch_));
   if (obs::TraceRecorder* tracer = disk_->tracer(); tracer != nullptr) {
     tracer->Annotate(obs::EventType::kMapAppend, obs::Layer::kVlog, piece, lba);
@@ -340,12 +339,8 @@ common::Status VirtualLog::MaybeAutoCheckpoint() {
   if (pinned_.size() <= config_.pinned_limit || !entries_provider_) {
     return common::OkStatus();
   }
-  std::vector<std::vector<uint32_t>> entries(config_.pieces);
-  for (uint32_t k = 0; k < config_.pieces; ++k) {
-    entries[k] = entries_provider_(k);
-  }
   ++stats_.auto_checkpoints;
-  return WriteCheckpoint(entries);
+  return WriteCheckpoint(entries_provider_());
 }
 
 common::Status VirtualLog::Barrier() {
@@ -441,7 +436,6 @@ common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate
     MapSector sector;
     sector.seq = next_seq_;
     sector.piece = piece;
-    sector.entries = updates[i].entries;
     sector.txn_id = txn_id;
     sector.txn_index = static_cast<uint16_t>(i);
     sector.txn_total = static_cast<uint16_t>(updates.size());
@@ -455,10 +449,10 @@ common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate
     const uint32_t block = blocks[i / per_block];
     const simdisk::Lba lba =
         allocator_->space().BlockToLba(block) + static_cast<simdisk::Lba>(i % per_block);
-    sector.SerializeInto(
+    sector.SerializeWithEntries(
         std::span<std::byte>(buffers[i / per_block])
             .subspan(static_cast<size_t>(i % per_block) * kSectorBytes, kSectorBytes),
-        epoch_);
+        updates[i].entries, epoch_);
     if (!head.IsNull()) {
       SetCover(head.seq, sector.seq);
     }
@@ -499,21 +493,21 @@ common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate
   return common::OkStatus();
 }
 
-common::Status VirtualLog::WriteCheckpoint(
-    const std::vector<std::vector<uint32_t>>& entries_of_piece) {
-  if (entries_of_piece.size() != config_.pieces) {
+common::Status VirtualLog::WriteCheckpoint(std::span<const uint32_t> flat_map) {
+  if ((flat_map.size() + kEntriesPerSector - 1) / kEntriesPerSector != config_.pieces) {
     return common::InvalidArgument("WriteCheckpoint: wrong piece count");
   }
   const uint64_t seq = next_seq_++;
   const uint32_t slot = next_ckpt_slot_;
   std::vector<std::byte> body(static_cast<size_t>(config_.pieces) * kSectorBytes);
+  MapSector sector;
+  sector.seq = seq;
   for (uint32_t k = 0; k < config_.pieces; ++k) {
-    MapSector sector;
-    sector.seq = seq;
+    const size_t begin = static_cast<size_t>(k) * kEntriesPerSector;
     sector.piece = k;
-    sector.entries = entries_of_piece[k];
-    sector.SerializeInto(
+    sector.SerializeWithEntries(
         std::span<std::byte>(body).subspan(static_cast<size_t>(k) * kSectorBytes, kSectorBytes),
+        flat_map.subspan(begin, std::min<size_t>(kEntriesPerSector, flat_map.size() - begin)),
         epoch_);
   }
   // Piece sectors first, CRC-signed header last: the header write is the commit point. A crash
@@ -904,15 +898,6 @@ std::vector<uint32_t> VirtualLog::PinnedBlocks() const {
     blocks.push_back(block);
   }
   return blocks;
-}
-
-bool VirtualLog::IsPinnedBlock(uint32_t block) const {
-  for (const auto& [seq, b] : pinned_) {
-    if (b == block) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace vlog::core

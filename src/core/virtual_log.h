@@ -47,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -115,8 +116,9 @@ class VirtualLog {
   // for having marked the park/checkpoint region as system blocks.
   common::Status Format();
 
-  // Supplies current entries of a piece, enabling automatic checkpoints (the valve above).
-  void SetEntriesProvider(std::function<std::vector<uint32_t>(uint32_t)> provider) {
+  // Supplies the owner's current flat map (the argument WriteCheckpoint takes), enabling
+  // automatic checkpoints (the valve above).
+  void SetEntriesProvider(std::function<std::span<const uint32_t>()> provider) {
     entries_provider_ = std::move(provider);
   }
 
@@ -140,8 +142,10 @@ class VirtualLog {
   common::Status AppendTransactionPacked(const std::vector<PieceUpdate>& updates);
 
   // Writes the whole map contiguously to the checkpoint region, frees all log blocks (live and
-  // pinned), and resets the chain. `entries_of_piece[k]` must be the current entries of piece k.
-  common::Status WriteCheckpoint(const std::vector<std::vector<uint32_t>>& entries_of_piece);
+  // pinned), and resets the chain. `flat_map` is the owner's whole map, piece k being entries
+  // [k * kEntriesPerSector, (k + 1) * kEntriesPerSector) (the last piece may be short); it must
+  // span exactly `pieces` pieces. Each piece is serialized straight from its slice.
+  common::Status WriteCheckpoint(std::span<const uint32_t> flat_map);
 
   // Firmware power-down: records the log tail (and checkpoint seq) at the park sector.
   common::Status Park();
@@ -160,7 +164,6 @@ class VirtualLog {
   std::vector<uint32_t> PiecesAtBlock(uint32_t block) const;
   // Blocks held only because an obsolete sector in them still covers live sectors.
   std::vector<uint32_t> PinnedBlocks() const;
-  bool IsPinnedBlock(uint32_t block) const;
 
   uint64_t NextSeq() const { return next_seq_; }
   uint64_t CheckpointSeq() const { return checkpoint_seq_; }
@@ -271,7 +274,7 @@ class VirtualLog {
   std::unordered_map<uint64_t, uint64_t> cover_of_;
   std::unordered_map<uint64_t, uint32_t> carrier_load_;  // carrier -> number of cover targets.
   std::unordered_map<uint64_t, uint32_t> pinned_;  // Obsolete carrier seq -> its physical block.
-  std::function<std::vector<uint32_t>(uint32_t)> entries_provider_;
+  std::function<std::span<const uint32_t>()> entries_provider_;
   // Reused serialization buffer for the single-sector append path (one map write per update:
   // a fresh vector per append showed up in profiles).
   std::vector<std::byte> append_scratch_;

@@ -87,7 +87,7 @@ Vld::Vld(simdisk::SimDisk* disk, VldConfig config)
   map_.assign(logical_blocks_, kUnmappedBlock);
   reverse_.assign(layout.total_blocks, kUnmappedBlock);
   MarkSystemBlocks();
-  vlog_.SetEntriesProvider([this](uint32_t piece) { return PieceEntries(piece); });
+  vlog_.SetEntriesProvider([this] { return std::span<const uint32_t>(map_); });
   compactor_ = std::make_unique<Compactor>(
       this, disk_, &allocator_, &vlog_,
       CompactorConfig{.target_empty_tracks = config_.target_empty_tracks}, config_.seed);
@@ -124,13 +124,7 @@ common::Status Vld::Format() {
 
 common::Status Vld::Park() { return vlog_.Park(); }
 
-common::Status Vld::Checkpoint() {
-  std::vector<std::vector<uint32_t>> entries(vlog_.config().pieces);
-  for (uint32_t k = 0; k < vlog_.config().pieces; ++k) {
-    entries[k] = PieceEntries(k);
-  }
-  return vlog_.WriteCheckpoint(entries);
-}
+common::Status Vld::Checkpoint() { return vlog_.WriteCheckpoint(map_); }
 
 common::StatusOr<VldRecoveryInfo> Vld::Recover() {
   space_ = FreeSpaceMap(disk_->geometry(), config_.block_sectors);
@@ -688,8 +682,8 @@ void Vld::RunIdle(common::Duration budget) {
   const common::Time deadline = disk_->clock()->Now() + budget;
   // Idle time is also when checkpoints are cheap (§3.3); a checkpoint releases every pinned
   // map sector, which in turn lets the compactor empty the tracks holding them.
-  if (vlog_.PinnedCount() > 0) {
-    (void)Checkpoint();
+  if (vlog_.PinnedCount() > 0 && !Checkpoint().ok()) {
+    ++stats_.checkpoint_failures;
   }
   if (disk_->clock()->Now() < deadline) {
     compactor_->RunUntil(deadline);
@@ -703,8 +697,8 @@ void Vld::RunGovernedBurst(common::Duration budget, uint32_t target_empty_tracks
   const common::Time deadline = disk_->clock()->Now() + budget;
   // Mirror RunIdle step for step (the governor-vs-idle differential depends on it); the only
   // difference is that the compactor run is preemptible at block granularity.
-  if (vlog_.PinnedCount() > 0) {
-    (void)Checkpoint();
+  if (vlog_.PinnedCount() > 0 && !Checkpoint().ok()) {
+    ++stats_.checkpoint_failures;
   }
   if (disk_->clock()->Now() < deadline) {
     compactor_->RunBounded(deadline, target_empty_tracks);

@@ -69,6 +69,9 @@ struct VldStats {
   // Read sectors served from an earlier-submitted, same-batch write's pending payload instead
   // of the media (the RAW forwarding path).
   uint64_t forwarded_read_sectors = 0;
+  // Idle-time and governed-burst checkpoints that failed (the compaction run still proceeds;
+  // the pinned sectors stay pinned until a later checkpoint succeeds).
+  uint64_t checkpoint_failures = 0;
 
   // Snapshot/diff: stats are plain values, so a measurement window is a copy + subtraction.
   VldStats operator-(const VldStats& rhs) const {
@@ -85,6 +88,7 @@ struct VldStats {
     d.queued_reads = queued_reads - rhs.queued_reads;
     d.group_commits = group_commits - rhs.group_commits;
     d.forwarded_read_sectors = forwarded_read_sectors - rhs.forwarded_read_sectors;
+    d.checkpoint_failures = checkpoint_failures - rhs.checkpoint_failures;
     return d;
   }
 };

@@ -12,6 +12,17 @@ namespace {
 // Distinct, deterministic seed per (base seed, write index).
 uint64_t VariantSeed(uint64_t base, uint64_t index) { return base * 1000003ULL + index + 1; }
 
+// A non-reorder crash point; the reorder-only fields keep their defaults.
+CrashPoint Point(uint64_t writes_applied, CrashKind kind, uint32_t keep_sectors = 0,
+                 uint64_t seed = 1) {
+  CrashPoint point;
+  point.writes_applied = writes_applied;
+  point.kind = kind;
+  point.keep_sectors = keep_sectors;
+  point.seed = seed;
+  return point;
+}
+
 void CopySectors(std::vector<std::byte>& image, const WriteRecord& record, uint32_t sector_bytes,
                  uint64_t first_sector, uint64_t count) {
   const size_t offset = (record.lba + first_sector) * sector_bytes;
@@ -45,25 +56,22 @@ std::vector<CrashPoint> EnumerateCrashPoints(const WriteTrace& trace, uint32_t s
   std::vector<CrashPoint> points;
   for (uint64_t n = 0; n <= trace.size(); ++n) {
     if (n == trace.size() || (options.clean_stride > 0 && n % options.clean_stride == 0)) {
-      points.push_back(CrashPoint{n, CrashKind::kClean});
+      points.push_back(Point(n, CrashKind::kClean));
     }
     if (n == trace.size()) {
       break;
     }
     const uint64_t sectors = trace[n].Sectors(sector_bytes);
     if (sectors > 1 && options.torn_stride > 0 && n % options.torn_stride == 0) {
-      points.push_back(CrashPoint{n, CrashKind::kTornPrefix, 1});
+      points.push_back(Point(n, CrashKind::kTornPrefix, 1));
       if (sectors > 2) {
-        points.push_back(
-            CrashPoint{n, CrashKind::kTornPrefix, static_cast<uint32_t>(sectors - 1)});
+        points.push_back(Point(n, CrashKind::kTornPrefix, static_cast<uint32_t>(sectors - 1)));
       }
-      points.push_back(CrashPoint{n, CrashKind::kTornSuffix, 1});
-      points.push_back(
-          CrashPoint{n, CrashKind::kTornRandom, 0, VariantSeed(options.seed, n)});
+      points.push_back(Point(n, CrashKind::kTornSuffix, 1));
+      points.push_back(Point(n, CrashKind::kTornRandom, 0, VariantSeed(options.seed, n)));
     }
     if (options.corrupt_stride > 0 && n % options.corrupt_stride == 0) {
-      points.push_back(
-          CrashPoint{n, CrashKind::kCorruptTail, 0, VariantSeed(options.seed, n)});
+      points.push_back(Point(n, CrashKind::kCorruptTail, 0, VariantSeed(options.seed, n)));
     }
   }
   return points;

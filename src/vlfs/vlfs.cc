@@ -75,7 +75,7 @@ Vlfs::Vlfs(simdisk::SimDisk* disk, simdisk::HostModel* host, VlfsConfig config)
   for (uint32_t b = 0; b < system_blocks; ++b) {
     space_.MarkSystem(b);
   }
-  vlog_.SetEntriesProvider([this](uint32_t piece) { return MapPieceEntries(piece); });
+  vlog_.SetEntriesProvider([this] { return std::span<const uint32_t>(inode_map_); });
   compactor_ = std::make_unique<core::Compactor>(
       this, disk_, &allocator_, &vlog_,
       core::CompactorConfig{.target_empty_tracks = config_.target_empty_tracks}, config_.seed);
@@ -658,11 +658,7 @@ common::Status Vlfs::Park() {
 
 common::Status Vlfs::Checkpoint() {
   RETURN_IF_ERROR(CommitGroup());
-  std::vector<std::vector<uint32_t>> entries(vlog_.config().pieces);
-  for (uint32_t k = 0; k < vlog_.config().pieces; ++k) {
-    entries[k] = MapPieceEntries(k);
-  }
-  return vlog_.WriteCheckpoint(entries);
+  return vlog_.WriteCheckpoint(inode_map_);
 }
 
 void Vlfs::RunIdle(common::Duration budget) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
+#include "src/common/crc32_internal.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
@@ -91,6 +93,37 @@ TEST(Crc32, DetectsBitFlip) {
 }
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(Crc32c({}), 0u); }
+
+// Crc32c dispatches to the SSE4.2 instruction where the CPU has it; every on-disk CRC must
+// still equal the portable slicing-by-8 result. Covers every length through two sectors, each
+// start alignment within a word, and chained seeds.
+TEST(Crc32, MatchesPortablePath) {
+  constexpr size_t kMaxLen = 1024;
+  constexpr size_t kMaxOffset = 7;
+  Rng rng(42);
+  std::vector<std::byte> buf(kMaxLen + kMaxOffset);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  for (const uint32_t seed : {0u, 1u, 0xdeadbeefu}) {
+    for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const std::span<const std::byte> data(buf.data() + offset, len);
+        ASSERT_EQ(Crc32c(data, seed), internal::Crc32cPortable(data, seed))
+            << "seed " << seed << " offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32, PortableKnownVector) {
+  const char* s = "123456789";
+  std::vector<std::byte> data;
+  for (const char* p = s; *p; ++p) {
+    data.push_back(static_cast<std::byte>(*p));
+  }
+  EXPECT_EQ(internal::Crc32cPortable(data), 0xE3069283u);
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(7), b(7), c(8);

@@ -2,9 +2,13 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/core/compactor.h"
+#include "src/core/free_space.h"
 #include "src/core/vld.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
@@ -255,6 +259,110 @@ TEST_F(CompactorTest, ForegroundWritesBetweenBurstsInvalidateStaleResume) {
     ASSERT_TRUE(vld_->Read(static_cast<simdisk::Lba>(b) * 8, out).ok());
     EXPECT_EQ(out, Pattern(4096, b)) << "block " << b;
   }
+}
+
+// The hole-plug pick exactly as the allocator made it before the live-count index: a scan of
+// every track for the most live blocks among tracks with both live and free blocks.
+std::optional<uint64_t> BruteForceFullestWithHoles(const FreeSpaceMap& space,
+                                                   std::optional<uint64_t> excluded) {
+  std::optional<uint64_t> best;
+  uint32_t best_live = 0;
+  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+    if (space.FreeInTrack(t) == 0 || (excluded && *excluded == t)) {
+      continue;
+    }
+    const uint32_t live = space.LiveInTrack(t);
+    if (live == 0 || live >= space.blocks_per_track()) {
+      continue;
+    }
+    if (!best || live > best_live) {
+      best = t;
+      best_live = live;
+    }
+  }
+  return best;
+}
+
+// The victim candidate list exactly as the compactor built it before: every track checked
+// block by block for a live pinned block.
+std::vector<uint64_t> BruteForceCompactable(const FreeSpaceMap& space,
+                                            const std::set<uint32_t>& pinned) {
+  std::vector<uint64_t> tracks;
+  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+    if (space.LiveInTrack(t) == 0 || space.TrackHasSystem(t)) {
+      continue;
+    }
+    const uint32_t base = static_cast<uint32_t>(t * space.blocks_per_track());
+    bool holds_pinned = false;
+    for (uint32_t b = 0; b < space.blocks_per_track(); ++b) {
+      holds_pinned |= space.state(base + b) == BlockState::kLive && pinned.contains(base + b);
+    }
+    if (!holds_pinned) {
+      tracks.push_back(t);
+    }
+  }
+  return tracks;
+}
+
+// Seeded differential: random MarkLive / Free / MarkSystem traffic, a random excluded track and
+// a random pinned set. After every op the indexed hole-plug pick, the victim candidate list and
+// the empty-track count must equal their brute-force scans.
+TEST(CompactionIndex, MatchesBruteForceScans) {
+  // 72 tracks of 8 blocks each: two bitset words per live-count level, the second partly used.
+  const simdisk::DiskGeometry geometry{.cylinders = 18, .tracks_per_cylinder = 4,
+                                       .sectors_per_track = 64, .sector_bytes = 512};
+  FreeSpaceMap space(geometry, 8);
+  const auto blocks = static_cast<uint32_t>(space.total_blocks());
+  common::Rng rng(20261017);
+  std::vector<uint32_t> live;  // Live blocks, for O(1) random frees.
+  uint64_t picks_found = 0;
+  for (int op = 0; op < 10000; ++op) {
+    // Alternate filling and draining phases so every live-count level gets exercised, full
+    // tracks included.
+    const double fill = (op / 1000) % 2 == 0 ? 0.92 : 0.55;
+    const uint32_t block = static_cast<uint32_t>(rng.Below(blocks));
+    const double r = rng.NextDouble();
+    if (r < fill) {
+      if (r < 0.01 && space.state(block) == BlockState::kFree) {
+        space.MarkSystem(block);
+      } else if (space.state(block) == BlockState::kFree) {
+        space.MarkLive(block);
+        live.push_back(block);
+      }
+    } else if (!live.empty()) {
+      const size_t victim = rng.Below(live.size());
+      space.Free(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+    }
+
+    std::optional<uint64_t> excluded;
+    if (rng.Chance(0.7)) {
+      excluded = rng.Below(space.total_tracks());
+    }
+    const auto indexed = space.FullestTrackWithHoles(excluded);
+    ASSERT_EQ(indexed, BruteForceFullestWithHoles(space, excluded)) << "op " << op;
+    picks_found += indexed.has_value() ? 1 : 0;
+
+    std::set<uint32_t> pinned;
+    const uint64_t pinned_count = rng.Below(12);
+    for (uint64_t i = 0; i < pinned_count; ++i) {
+      // Mostly live blocks (the interesting case), sometimes any block.
+      pinned.insert(rng.Chance(0.8) && !live.empty() ? live[rng.Below(live.size())]
+                                                     : static_cast<uint32_t>(rng.Below(blocks)));
+    }
+    const std::vector<uint32_t> pinned_list(pinned.begin(), pinned.end());
+    ASSERT_EQ(CompactableTracks(space, pinned_list), BruteForceCompactable(space, pinned))
+        << "op " << op;
+
+    uint64_t empty = 0;
+    for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+      empty += space.TrackEmpty(t) ? 1 : 0;
+    }
+    ASSERT_EQ(space.EmptyTrackCount(), empty) << "op " << op;
+  }
+  EXPECT_GT(picks_found, 5000u) << "the walk should mostly leave some track with holes";
+  EXPECT_GT(space.system_blocks(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -50,6 +52,15 @@ class VirtualLogTest : public ::testing::Test {
     allocator_.emplace(&*disk_, &*space_, AllocatorConfig{});
     VirtualLogConfig cfg = vlog_->config();
     vlog_.emplace(&*disk_, &*allocator_, cfg);
+  }
+
+  // The pieces laid end to end: the flat-map form WriteCheckpoint takes.
+  static std::vector<uint32_t> Flatten(const std::vector<std::vector<uint32_t>>& pieces) {
+    std::vector<uint32_t> flat;
+    for (const auto& piece : pieces) {
+      flat.insert(flat.end(), piece.begin(), piece.end());
+    }
+    return flat;
   }
 
   static std::vector<uint32_t> Entries(uint32_t fill) {
@@ -190,7 +201,7 @@ TEST_F(VirtualLogTest, CheckpointSeedsRecoveryAndFreesLog) {
     ASSERT_TRUE(vlog_->AppendPiece(k, all[k]).ok());
   }
   const uint64_t live_before = space_->live_blocks();
-  ASSERT_TRUE(vlog_->WriteCheckpoint(all).ok());
+  ASSERT_TRUE(vlog_->WriteCheckpoint(Flatten(all)).ok());
   EXPECT_LT(space_->live_blocks(), live_before);
   // Post-checkpoint append, then clean shutdown.
   ASSERT_TRUE(vlog_->AppendPiece(2, Entries(99)).ok());
@@ -211,7 +222,7 @@ TEST_F(VirtualLogTest, ScanRecoveryHonorsCheckpointBoundary) {
   }
   all[1] = Entries(500);
   ASSERT_TRUE(vlog_->AppendPiece(1, all[1]).ok());
-  ASSERT_TRUE(vlog_->WriteCheckpoint(all).ok());
+  ASSERT_TRUE(vlog_->WriteCheckpoint(Flatten(all)).ok());
   ASSERT_TRUE(vlog_->AppendPiece(0, Entries(700)).ok());
   Reopen();  // Crash (no park) -> scan.
   auto result = vlog_->Recover();
@@ -224,11 +235,14 @@ TEST_F(VirtualLogTest, ScanRecoveryHonorsCheckpointBoundary) {
 TEST_F(VirtualLogTest, AutoCheckpointValveBoundsPinnedSectors) {
   Reset(/*pinned_limit=*/0);
   std::vector<std::vector<uint32_t>> shadow(kPieces);
-  vlog_->SetEntriesProvider([this, &shadow](uint32_t piece) { return shadow[piece]; });
+  std::vector<uint32_t> flat(kPieces * kEntriesPerSector, kUnmappedBlock);
+  vlog_->SetEntriesProvider([&flat] { return std::span<const uint32_t>(flat); });
   common::Rng rng(3);
   for (int i = 0; i < 300; ++i) {
     const uint32_t piece = static_cast<uint32_t>(rng.Below(kPieces));
     shadow[piece] = Entries(static_cast<uint32_t>(i));
+    std::copy(shadow[piece].begin(), shadow[piece].end(),
+              flat.begin() + piece * kEntriesPerSector);
     ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
     ASSERT_LE(vlog_->PinnedCount(), 1u);
   }

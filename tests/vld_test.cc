@@ -492,5 +492,27 @@ TEST_F(VldTest, TornGroupCommitRollsBackWholeBatch) {
   }
 }
 
+// An idle-time or governed-burst checkpoint that fails is counted, not silently dropped.
+TEST_F(VldTest, FailedIdleCheckpointsAreCounted) {
+  // Random overwrites soon obsolete a sector that still carries a cover, pinning it.
+  common::Rng rng(7);
+  for (uint32_t i = 0; i < 2000 && vld_->vlog().PinnedCount() == 0; ++i) {
+    const uint64_t block = rng.Below(vld_->logical_blocks());
+    ASSERT_TRUE(vld_->Write(block * 8, Pattern(kBlockBytes, i)).ok());
+  }
+  ASSERT_GT(vld_->vlog().PinnedCount(), 0u);
+  EXPECT_EQ(vld_->stats().checkpoint_failures, 0u);
+
+  const VldStats before = vld_->stats();
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{
+      .mode = simdisk::SimDisk::WriteFaultMode::kFailStop, .after_writes = 0});
+  vld_->RunIdle(common::Milliseconds(50));
+  EXPECT_EQ(vld_->stats().checkpoint_failures, 1u);
+  vld_->RunGovernedBurst(common::Milliseconds(50));
+  EXPECT_EQ(vld_->stats().checkpoint_failures, 2u);
+  EXPECT_EQ((vld_->stats() - before).checkpoint_failures, 2u);
+  EXPECT_GT(vld_->vlog().PinnedCount(), 0u) << "a failed checkpoint releases nothing";
+}
+
 }  // namespace
 }  // namespace vlog::core
