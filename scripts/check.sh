@@ -54,6 +54,14 @@ if [ -x build/bench/bench_array ]; then
   ./build/bench/bench_array --smoke --json=BENCH_array.json
 fi
 
+# Benchmark correctness smoke: one short run of every perfbench workload. Each run checks read
+# payloads, scan and park recovery maps against the live map, 0 crash-sweep violations and
+# round-to-round determinism, and exits nonzero on any failed check.
+echo "=== perfbench correctness smoke ==="
+for w in governed_diurnal mixed_array staged_sync crash_sweep; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
+done
+
 # Engine smoke: end-to-end wall-clock throughput over the four hot legs (deep-queue mixed
 # R/W, striped array, crash sweep, governed open-loop compaction) with ops/wall-second
 # floors. A gate failure means an engine

@@ -12,7 +12,7 @@ namespace {
 
 // Fixed layout offsets.
 constexpr size_t kOffMagic = 0;
-constexpr size_t kOffSeq = 8;
+constexpr size_t kOffSeq = MapSector::kSeqOffset;
 constexpr size_t kOffPiece = 16;
 constexpr size_t kOffEntryCount = 20;
 constexpr size_t kOffTxnId = 24;
@@ -99,8 +99,14 @@ common::StatusOr<MapSector> MapSector::Parse(std::span<const std::byte> raw, uin
   s.bypass.lba = common::LoadLe<uint64_t>(raw, kOffBypassLba);
   s.bypass.seq = common::LoadLe<uint64_t>(raw, kOffBypassSeq);
   s.entries.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    s.entries[i] = common::LoadLe<uint32_t>(raw, kOffEntries + i * 4);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) {  // On-disk order is host order: one block copy, as in serialization.
+      std::memcpy(s.entries.data(), raw.subspan(kOffEntries, count * 4).data(), count * 4);
+    }
+  } else {
+    for (uint32_t i = 0; i < count; ++i) {
+      s.entries[i] = common::LoadLe<uint32_t>(raw, kOffEntries + i * 4);
+    }
   }
   return s;
 }

@@ -70,6 +70,14 @@ struct MapSector {
            common::LoadLe<uint64_t>(raw, 0) == kMapSectorMagic;
   }
 
+  // The header `seq` of a sector that passed HasMagic, read without validating anything else.
+  // Parse stores exactly this value in `seq`, so a filter on it may run before Parse: a scan
+  // that only keeps sectors younger than a checkpoint rejects older ones without the CRC pass.
+  static constexpr size_t kSeqOffset = 8;
+  static uint64_t PeekSeq(std::span<const std::byte> raw) {
+    return common::LoadLe<uint64_t>(raw, kSeqOffset);
+  }
+
   // Parses and validates magic + CRC (seeded with `epoch`; must match the serializing
   // generation). Returns kCorruption for anything that is not a well-formed map sector of this
   // generation (e.g. a recycled sector now holding file data, or a stale pre-format sector).

@@ -677,12 +677,15 @@ common::StatusOr<RecoveryResult> VirtualLog::RecoverByScan() {
       const auto sector_bytes =
           track.subspan(static_cast<size_t>(s) * geom.sector_bytes, geom.sector_bytes);
       // Almost every sector on disk is data, not map: reject on the 8-byte magic before
-      // paying for Parse's CRC pass and StatusOr construction.
-      if (!MapSector::HasMagic(sector_bytes)) {
+      // paying for Parse's CRC pass and StatusOr construction. Of the map sectors, those the
+      // checkpoint already covers are rejected on their header seq: Parse would return that
+      // same seq, so filtering first keeps exactly the sectors the CRC would have kept.
+      if (!MapSector::HasMagic(sector_bytes) ||
+          MapSector::PeekSeq(sector_bytes) <= checkpoint_seq) {
         continue;
       }
       auto parsed = MapSector::Parse(sector_bytes, epoch_);
-      if (parsed.ok() && parsed->seq > checkpoint_seq) {
+      if (parsed.ok()) {
         collected.emplace_back(lba, std::move(*parsed));
       }
     }

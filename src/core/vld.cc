@@ -149,6 +149,16 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
       if (logical >= logical_blocks_ || entries[i] == kUnmappedBlock) {
         continue;
       }
+      // A CRC-valid sector is still untrusted input: an entry naming a block past the disk, a
+      // system block, or a block another logical block already owns would corrupt the reverse
+      // map and the free-space accounting, so recovery refuses the image instead.
+      if (entries[i] >= space_.total_blocks() ||
+          space_.state(entries[i]) == BlockState::kSystem ||
+          reverse_[entries[i]] != kUnmappedBlock) {
+        return common::Corruption("Vld::Recover: logical block " + std::to_string(logical) +
+                                  " maps to invalid physical block " +
+                                  std::to_string(entries[i]));
+      }
       map_[logical] = entries[i];
       reverse_[entries[i]] = static_cast<uint32_t>(logical);
       space_.MarkLive(entries[i]);

@@ -402,27 +402,9 @@ CrashSweepReport ArrayCrashSim::SweepRange(const std::vector<CrashPoint>& points
     for (uint32_t m = 0; m < member_count_; ++m) {
       const core::Vld& vld = *stacks[m].vld;
       const std::string who = "member " + std::to_string(m) + ": ";
-      const std::vector<uint32_t>& map = vld.logical_map();
-      std::unordered_set<uint32_t> phys_seen;
       uint64_t mapped = 0;
-      for (uint32_t b = 0; b < map.size(); ++b) {
-        if (map[b] == core::kUnmappedBlock) {
-          continue;
-        }
-        ++mapped;
-        if (!phys_seen.insert(map[b]).second) {
-          report.AddViolation(
-              point, who + "two logical blocks map to physical block " + std::to_string(map[b]),
-              options.max_violation_details);
-          break;
-        }
-        if (vld.space().state(map[b]) != core::BlockState::kLive) {
-          report.AddViolation(point,
-                              who + "mapped physical block " + std::to_string(map[b]) +
-                                  " not marked live in the free-space map",
-                              options.max_violation_details);
-          break;
-        }
+      if (const auto violation = MapInvariantViolation(vld, mapped)) {
+        report.AddViolation(point, who + *violation, options.max_violation_details);
       }
       std::unordered_set<uint32_t> map_blocks;
       for (uint32_t k = 0; k < vld.vlog().config().pieces; ++k) {

@@ -135,6 +135,33 @@ std::string CrashSweepReport::Summary() const {
   return os.str();
 }
 
+std::optional<std::string> MapInvariantViolation(const core::Vld& vld, uint64_t& mapped) {
+  const std::vector<uint32_t>& map = vld.logical_map();
+  const core::FreeSpaceMap& space = vld.space();
+  std::vector<bool> phys_seen(space.total_blocks(), false);
+  mapped = 0;
+  for (uint32_t b = 0; b < map.size(); ++b) {
+    const uint32_t phys = map[b];
+    if (phys == core::kUnmappedBlock) {
+      continue;
+    }
+    ++mapped;
+    if (phys >= phys_seen.size()) {
+      return "logical block " + std::to_string(b) + " maps to out-of-range physical block " +
+             std::to_string(phys);
+    }
+    if (phys_seen[phys]) {
+      return "two logical blocks map to physical block " + std::to_string(phys);
+    }
+    phys_seen[phys] = true;
+    if (space.state(phys) != core::BlockState::kLive) {
+      return "mapped physical block " + std::to_string(phys) +
+             " not marked live in the free-space map";
+    }
+  }
+  return std::nullopt;
+}
+
 uint32_t ResolveSweepWorkers(uint32_t requested, size_t points) {
   uint32_t workers = requested != 0 ? requested : std::thread::hardware_concurrency();
   if (workers == 0) {
@@ -485,27 +512,9 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     }
 
     // Invariant 3: the recovered map is injective over physical blocks.
-    const std::vector<uint32_t>& map = vld.logical_map();
-    std::unordered_set<uint32_t> phys_seen;
     uint64_t mapped = 0;
-    for (uint32_t b = 0; b < map.size(); ++b) {
-      if (map[b] == core::kUnmappedBlock) {
-        continue;
-      }
-      ++mapped;
-      if (!phys_seen.insert(map[b]).second) {
-        report.AddViolation(point,
-                            "two logical blocks map to physical block " + std::to_string(map[b]),
-                            options.max_violation_details);
-        break;
-      }
-      if (vld.space().state(map[b]) != core::BlockState::kLive) {
-        report.AddViolation(point,
-                            "mapped physical block " + std::to_string(map[b]) +
-                                " not marked live in the free-space map",
-                            options.max_violation_details);
-        break;
-      }
+    if (const auto violation = MapInvariantViolation(vld, mapped)) {
+      report.AddViolation(point, *violation, options.max_violation_details);
     }
 
     // Invariant 4: free-space accounting equals mapped data + live map pieces + pinned blocks.

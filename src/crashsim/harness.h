@@ -92,6 +92,12 @@ std::vector<CrashPoint> AllCrashPoints(const WriteTrace& trace, uint32_t sector_
 // "crash point #<ordinal> n=<writes> kind=..." — the prefix AddViolation puts on details.
 std::string CrashPointName(const CrashPoint& point);
 
+// Invariant 3 on one recovered VLD: every mapped physical block is in range, live in the
+// free-space map, and mapped by no other logical block. Returns the first violation found
+// (nullopt when there is none). `mapped` receives the number of mapped logical blocks examined,
+// the violating one included; invariant 4 compares that count against the live blocks.
+std::optional<std::string> MapInvariantViolation(const core::Vld& vld, uint64_t& mapped);
+
 // Resolves CrashSweepOptions.workers: 0 means hardware concurrency, and the result is clamped
 // to [1, points] (a shard with no points would be pure overhead).
 uint32_t ResolveSweepWorkers(uint32_t requested, size_t points);

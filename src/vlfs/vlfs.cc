@@ -666,9 +666,11 @@ void Vlfs::RunIdle(common::Duration budget) {
     return;
   }
   const common::Time deadline = disk_->clock()->Now() + budget;
-  (void)CommitGroup();
-  if (vlog_.PinnedCount() > 0 && disk_->clock()->Now() < deadline) {
-    (void)Checkpoint();
+  if (!CommitGroup().ok()) {
+    ++stats_.idle_failures;
+  }
+  if (vlog_.PinnedCount() > 0 && disk_->clock()->Now() < deadline && !Checkpoint().ok()) {
+    ++stats_.idle_failures;
   }
   if (disk_->clock()->Now() < deadline) {
     compactor_->RunUntil(deadline);

@@ -53,6 +53,9 @@ struct VlfsStats {
   uint64_t group_commits = 0;  // Sync() calls that flushed more than one inode block.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  // Group commits and checkpoints in RunIdle that failed (the idle pass still goes on to the
+  // compactor).
+  uint64_t idle_failures = 0;
 };
 
 struct VlfsRecoveryInfo {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 
+#include "src/common/rng.h"
 #include "src/core/map_sector.h"
 
 namespace vlog::core {
@@ -112,6 +113,47 @@ TEST(MapSector, RejectsOversizedEntryCount) {
   MapSector s = Sample();
   s.entries.resize(kEntriesPerSector);  // Max allowed — fine.
   EXPECT_TRUE(MapSector::Parse(s.Serialize()).ok());
+}
+
+// Parse decodes the entries with one block copy on little-endian hosts. For every entry count
+// the copy must agree with the round trip and with a field-by-field decode of the raw bytes.
+TEST(MapSector, ParseMatchesPerEntryDecodeForEveryCount) {
+  common::Rng rng(104);
+  for (uint32_t count = 0; count <= kEntriesPerSector; ++count) {
+    MapSector s = Sample();
+    s.seq = rng.Next();
+    s.piece = static_cast<uint32_t>(rng.Next());
+    s.txn_id = rng.Next();
+    s.txn_index = static_cast<uint16_t>(rng.Next());
+    s.txn_total = static_cast<uint16_t>(rng.Next());
+    s.prev = DiskPtr{rng.Next(), rng.Next()};
+    s.bypass = DiskPtr{rng.Next(), rng.Next()};
+    s.entries.resize(count);
+    for (uint32_t& e : s.entries) {
+      e = static_cast<uint32_t>(rng.Next());
+    }
+    const uint64_t epoch = rng.Next();
+    const auto raw = s.Serialize(epoch);
+    auto parsed = MapSector::Parse(raw, epoch);
+    ASSERT_TRUE(parsed.ok()) << "count " << count;
+    EXPECT_EQ(parsed->seq, s.seq);
+    EXPECT_EQ(parsed->piece, s.piece);
+    EXPECT_EQ(parsed->txn_id, s.txn_id);
+    EXPECT_EQ(parsed->txn_index, s.txn_index);
+    EXPECT_EQ(parsed->txn_total, s.txn_total);
+    EXPECT_EQ(parsed->prev, s.prev);
+    EXPECT_EQ(parsed->bypass, s.bypass);
+    EXPECT_EQ(MapSector::PeekSeq(raw), s.seq);
+    ASSERT_EQ(parsed->entries, s.entries) << "count " << count;
+    // Entries sit at offset 68, four little-endian bytes each.
+    for (uint32_t i = 0; i < count; ++i) {
+      uint32_t want = 0;
+      for (uint32_t b = 0; b < 4; ++b) {
+        want |= static_cast<uint32_t>(static_cast<uint8_t>(raw[68 + i * 4 + b])) << (8 * b);
+      }
+      ASSERT_EQ(parsed->entries[i], want) << "count " << count << " entry " << i;
+    }
+  }
 }
 
 TEST(DiskPtr, NullSemantics) {

@@ -232,6 +232,74 @@ TEST_F(VirtualLogTest, ScanRecoveryHonorsCheckpointBoundary) {
   EXPECT_EQ(result->pieces[1], Entries(500));
 }
 
+// The scan rejects a map sector on its header seq before checking its CRC. Plant two sectors
+// in never-written space: a correctly signed one the checkpoint already covers, and a younger
+// one whose CRC is broken. Neither may be applied, and recovery must report exactly what it
+// reports without them. A correctly signed younger sector at the same spot is the control: it
+// shows the scan does reach the planted location.
+TEST_F(VirtualLogTest, ScanFilterRejectsStaleAndCorruptPlantedSectors) {
+  std::vector<std::vector<uint32_t>> all(kPieces);
+  for (uint32_t k = 0; k < kPieces; ++k) {
+    all[k] = Entries(k + 10);
+    ASSERT_TRUE(vlog_->AppendPiece(k, all[k]).ok());
+  }
+  ASSERT_TRUE(vlog_->WriteCheckpoint(Flatten(all)).ok());
+  const uint64_t checkpoint_seq = vlog_->CheckpointSeq();
+  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(700)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(701)).ok());
+  const uint64_t epoch = vlog_->Epoch();
+
+  Reopen();  // Crash (no park) -> scan.
+  auto baseline = vlog_->Recover();
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_TRUE(baseline->used_scan);
+  ASSERT_EQ(baseline->pieces[0], Entries(700));
+
+  // Two sectors near the end of the disk, which nothing has written.
+  const simdisk::Lba stale_lba = disk_->SectorCount() - 2 * kBlockSectors;
+  const simdisk::Lba corrupt_lba = disk_->SectorCount() - kBlockSectors;
+  for (const simdisk::Lba lba : {stale_lba, corrupt_lba}) {
+    std::vector<std::byte> existing(disk_->SectorBytes());
+    ASSERT_TRUE(disk_->InternalRead(lba, existing).ok());
+    ASSERT_TRUE(std::all_of(existing.begin(), existing.end(),
+                            [](std::byte b) { return b == std::byte{0}; }));
+  }
+  MapSector stale;
+  stale.seq = checkpoint_seq;  // The boundary: covered by the checkpoint.
+  stale.piece = 3;
+  stale.entries = Entries(900);
+  ASSERT_TRUE(disk_->InternalWrite(stale_lba, stale.Serialize(epoch)).ok());
+  MapSector young;
+  young.seq = checkpoint_seq + 1000;
+  young.piece = 4;
+  young.entries = Entries(901);
+  std::vector<std::byte> corrupt = young.Serialize(epoch);
+  corrupt[100] ^= std::byte{0x01};  // An entry byte: magic and seq still pass.
+  ASSERT_TRUE(MapSector::HasMagic(corrupt));
+  ASSERT_FALSE(MapSector::Parse(corrupt, epoch).ok());
+  ASSERT_TRUE(disk_->InternalWrite(corrupt_lba, corrupt).ok());
+
+  Reopen();
+  auto planted = vlog_->Recover();
+  ASSERT_TRUE(planted.ok());
+  EXPECT_TRUE(planted->used_scan);
+  EXPECT_EQ(planted->pieces, baseline->pieces);
+  EXPECT_EQ(planted->sectors_read, baseline->sectors_read);
+  EXPECT_EQ(planted->discarded_txn_sectors, baseline->discarded_txn_sectors);
+  EXPECT_EQ(planted->uncovered_pieces, baseline->uncovered_pieces);
+  EXPECT_NE(planted->pieces[3], Entries(900));
+  EXPECT_NE(planted->pieces[4], Entries(901));
+  EXPECT_LT(vlog_->NextSeq(), young.seq);
+
+  // Control: the same young sector, correctly signed, is found and wins its piece.
+  ASSERT_TRUE(disk_->InternalWrite(corrupt_lba, young.Serialize(epoch)).ok());
+  Reopen();
+  auto control = vlog_->Recover();
+  ASSERT_TRUE(control.ok());
+  EXPECT_EQ(control->pieces[4], Entries(901));
+  EXPECT_EQ(control->pieces[3], baseline->pieces[3]);
+}
+
 TEST_F(VirtualLogTest, AutoCheckpointValveBoundsPinnedSectors) {
   Reset(/*pinned_limit=*/0);
   std::vector<std::vector<uint32_t>> shadow(kPieces);

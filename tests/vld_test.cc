@@ -514,5 +514,58 @@ TEST_F(VldTest, FailedIdleCheckpointsAreCounted) {
   EXPECT_GT(vld_->vlog().PinnedCount(), 0u) << "a failed checkpoint releases nothing";
 }
 
+// Recovery treats a map sector that passes its CRC as untrusted input: an entry past the disk,
+// on a system block, or on a block another logical block owns fails recovery with kCorruption
+// instead of corrupting the reverse map and the free-space accounting.
+TEST_F(VldTest, RecoverRejectsHostileMapEntries) {
+  for (uint32_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(vld_->Write(b * 8, Pattern(kBlockBytes, b)).ok());
+  }
+  const std::vector<uint32_t> map = vld_->logical_map();
+  const uint64_t total_blocks = vld_->space().total_blocks();
+  const uint64_t epoch = vld_->vlog().Epoch();
+  const uint64_t young_seq = vld_->vlog().NextSeq() + 1000;
+  // No park: recovery scans. The planted sector sits in the disk's last, never-written block;
+  // its seq makes it the youngest version of piece 0.
+  const simdisk::Lba plant_lba = vld_->space().BlockToLba(static_cast<uint32_t>(total_blocks - 1));
+  std::vector<std::byte> existing(kBlockBytes);
+  ASSERT_TRUE(disk_->InternalRead(plant_lba, existing).ok());
+  ASSERT_EQ(existing, std::vector<std::byte>(kBlockBytes));
+  const auto plant = [&](uint32_t phys_for_block_4) {
+    MapSector s;
+    s.seq = young_seq;
+    s.piece = 0;
+    s.entries.assign(map.begin(), map.begin() + kEntriesPerSector);
+    s.entries[4] = phys_for_block_4;
+    ASSERT_TRUE(disk_->InternalWrite(plant_lba, s.Serialize(epoch)).ok());
+  };
+
+  const struct {
+    const char* what;
+    uint32_t phys;
+  } hostile[] = {
+      {"past the disk", static_cast<uint32_t>(total_blocks)},
+      {"far past the disk", static_cast<uint32_t>(total_blocks) + 100000},
+      {"system block", 0},
+      {"aliases logical block 2", map[2]},
+  };
+  for (const auto& h : hostile) {
+    plant(h.phys);
+    Reopen();
+    const auto info = vld_->Recover();
+    ASSERT_FALSE(info.ok()) << h.what;
+    EXPECT_EQ(info.status().code(), common::StatusCode::kCorruption) << h.what;
+  }
+
+  // Control: a free, in-range block is a legal target, so the same sector recovers.
+  const uint32_t free_block = static_cast<uint32_t>(total_blocks - 2);
+  plant(free_block);
+  Reopen();
+  const auto info = vld_->Recover();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(vld_->logical_map()[4], free_block);
+  EXPECT_EQ(vld_->logical_map()[2], map[2]);
+}
+
 }  // namespace
 }  // namespace vlog::core

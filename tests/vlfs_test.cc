@@ -182,6 +182,42 @@ TEST_F(VlfsTest, IdleCompactionPreservesDataAndCreatesEmptyTracks) {
   }
 }
 
+// RunIdle's group commit and checkpoint report failure through stats instead of dropping it.
+TEST_F(VlfsTest, FailedIdleCommitAndCheckpointAreCounted) {
+  // Pinning needs several map pieces: each holds 104 inode blocks of 32 inodes, so 70
+  // directories of 100 files reach into a third piece. Synced rewrites spread over the three
+  // pieces soon obsolete a map sector that still carries a cover, pinning it.
+  fs_ = std::make_unique<Vlfs>(disk_.get(), host_.get(), VlfsConfig{.inode_blocks = 312});
+  ASSERT_TRUE(fs_->Format().ok());
+  constexpr int kDirs = 70;
+  constexpr int kFilesPerDir = 100;
+  for (int d = 0; d < kDirs; ++d) {
+    ASSERT_TRUE(fs_->Mkdir("/d" + std::to_string(d)).ok());
+    for (int f = 0; f < kFilesPerDir; ++f) {
+      ASSERT_TRUE(fs_->Create("/d" + std::to_string(d) + "/" + std::to_string(f)).ok());
+    }
+  }
+  ASSERT_TRUE(fs_->Sync().ok());
+  ASSERT_EQ(fs_->vlog().config().pieces, 3u);
+  common::Rng rng(11);
+  for (uint32_t i = 0; i < 4000 && fs_->vlog().PinnedCount() == 0; ++i) {
+    const int d = static_cast<int>(rng.Below(3)) * (kDirs - 1) / 2;  // Dirs 0, 34 and 69.
+    const std::string path =
+        "/d" + std::to_string(d) + "/" + std::to_string(rng.Below(kFilesPerDir));
+    ASSERT_TRUE(fs_->Write(path, 0, Pattern(4096, i), fs::WritePolicy::kSync).ok());
+  }
+  // An unsynced write leaves a dirty inode block for the idle pass to commit.
+  ASSERT_TRUE(fs_->Write("/d0/0", 0, Pattern(4096, 1), fs::WritePolicy::kAsync).ok());
+  ASSERT_GT(fs_->vlog().PinnedCount(), 0u);
+  EXPECT_EQ(fs_->stats().idle_failures, 0u);
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{
+      .mode = simdisk::SimDisk::WriteFaultMode::kFailStop, .after_writes = 0});
+  fs_->RunIdle(common::Milliseconds(50));
+  // The group commit fails, and so does the checkpoint, which commits the same group first.
+  EXPECT_EQ(fs_->stats().idle_failures, 2u);
+  EXPECT_GT(fs_->vlog().PinnedCount(), 0u) << "a failed checkpoint releases nothing";
+}
+
 TEST_F(VlfsTest, RandomizedWorkloadWithCrashes) {
   common::Rng rng(7777);
   const int kFiles = 12;
