@@ -9,7 +9,7 @@
 // ISSUE's "subset of disks torn/reordered while the rest are clean": it scrambles one member's
 // mid-destage writes while the other members' images sit at their last barrier.
 //
-// The sweep rebuilds per-member media images (each record replays onto images[record.disk]),
+// The sweep rebuilds per-member media images (each record replays onto its member's image),
 // recovers a fresh member stack per disk, runs the array's stitched recovery, and checks:
 //   1. Array recovery succeeds at every crash point.
 //   2. Acknowledged array writes read back exactly; the in-flight array op is atomic per member
@@ -88,23 +88,20 @@ class ArrayCrashSim {
     std::vector<Group> groups;
   };
 
-  // The serial sweep over points[begin, end): rebuilds its rolling per-member images from the
-  // trace bases, so contiguous ordinal ranges run independently on worker threads.
-  CrashSweepReport SweepRange(const std::vector<CrashPoint>& points, size_t begin, size_t end,
-                              const CrashSweepOptions& options) const;
+  class Hooks;  // The sweep engine's hooks for this stack (array_harness.cc).
 
   // Member indexes that hold array block `block`.
   std::vector<uint32_t> MembersOfBlock(uint32_t block) const;
-  void RecordOp(Workload& w, const std::vector<uint32_t>& blocks,
-                const std::vector<std::vector<std::byte>>& before,
-                const std::vector<std::vector<std::byte>>& after);
+  // Records an acknowledged op writing `payloads` to array blocks `written` and folds it into
+  // the workload's shadow.
+  void RecordOp(Workload& w, std::vector<uint32_t> written,
+                std::vector<std::vector<std::byte>> payloads);
 
   simdisk::DiskParams params_;
   core::VldConfig member_config_;
   array::VldArrayConfig array_config_;
   uint32_t member_count_;
-  WriteTrace trace_;                             // Disk-tagged global trace.
-  std::vector<std::vector<std::byte>> bases_;    // Post-format media image per member.
+  WriteTrace trace_;  // Disk-tagged global trace, one post-format base image per member.
   std::vector<ArrayOp> ops_;
   uint32_t array_blocks_ = 0;
   uint32_t block_sectors_ = 0;

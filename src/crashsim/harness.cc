@@ -18,6 +18,11 @@
 
 namespace vlog::crashsim {
 
+// --- The sweep engine ---
+
+namespace {
+
+// "crash point #<ordinal> n=<writes> kind=..." — the prefix AddViolation puts on details.
 std::string CrashPointName(const CrashPoint& point) {
   std::ostringstream os;
   os << "crash point #" << point.ordinal << " n=" << point.writes_applied
@@ -35,26 +40,6 @@ std::string CrashPointName(const CrashPoint& point) {
   return os.str();
 }
 
-// Regular prefix/torn points plus (for write-back traces) reorder points, merged into one list
-// ordered by writes_applied, with stable per-sweep ordinals for failure messages.
-std::vector<CrashPoint> AllCrashPoints(const WriteTrace& trace, uint32_t sector_bytes,
-                                       const CrashSweepOptions& options) {
-  // (Shared with the array sweep in array_harness.cc, which replays the same ordinals.)
-  std::vector<CrashPoint> points = EnumerateCrashPoints(trace, sector_bytes, options.enumerate);
-  std::vector<CrashPoint> reorder = EnumerateReorderPoints(trace, options.reorder);
-  points.insert(points.end(), std::make_move_iterator(reorder.begin()),
-                std::make_move_iterator(reorder.end()));
-  std::stable_sort(points.begin(), points.end(), [](const CrashPoint& a, const CrashPoint& b) {
-    return a.writes_applied < b.writes_applied;
-  });
-  for (size_t i = 0; i < points.size(); ++i) {
-    points[i].ordinal = i;
-  }
-  return points;
-}
-
-namespace {
-
 // Chunked memcmp against a static zero block: the sweep compares every logical block at every
 // crash point and most blocks are never written, so this is the hottest loop in a sweep.
 bool IsZero(std::span<const std::byte> bytes) {
@@ -71,15 +56,6 @@ bool IsZero(std::span<const std::byte> bytes) {
   return true;
 }
 
-// Does `got` equal `expect`, where an empty `expect` means all zeros?
-bool ContentMatches(std::span<const std::byte> got, const std::vector<std::byte>& expect) {
-  if (expect.empty()) {
-    return IsZero(got);
-  }
-  return got.size() == expect.size() &&
-         std::memcmp(got.data(), expect.data(), expect.size()) == 0;
-}
-
 common::Duration Percentile(std::vector<common::Duration> sorted, double p) {
   if (sorted.empty()) {
     return 0;
@@ -89,7 +65,159 @@ common::Duration Percentile(std::vector<common::Duration> sorted, double p) {
   return sorted[idx];
 }
 
+// Resolves CrashSweepOptions.workers: 0 means hardware concurrency, and the result is clamped
+// to [1, points] (a shard with no points would be pure overhead).
+uint32_t ResolveSweepWorkers(uint32_t requested, size_t points) {
+  uint32_t workers = requested != 0 ? requested : std::thread::hardware_concurrency();
+  if (workers == 0) {
+    workers = 1;
+  }
+  if (points > 0 && workers > points) {
+    workers = static_cast<uint32_t>(points);
+  }
+  return workers;
+}
+
+// The serial sweep over points[begin, end). Rolling state advances monotonically since points
+// are ordered by writes_applied; a range that starts mid-sweep catches up from the trace bases
+// in its first iteration, so ranges are independent and thread-safe.
+CrashSweepReport SweepRange(const WriteTrace& trace, const simdisk::DiskParams& params,
+                            const std::vector<CrashPoint>& points, size_t begin, size_t end,
+                            const CrashSweepOptions& options, SweepHooks& hooks) {
+  CrashSweepReport report;
+  const uint32_t sector_bytes = params.geometry.sector_bytes;
+  const size_t members = trace.bases().size();
+  std::vector<std::vector<std::byte>> images = trace.bases();
+  uint64_t applied = 0;
+  // Per-member crashed images, recycled through each point's SimDisks (media-adopting
+  // constructor + TakeMedia). Each is kept in sync with its rolling image by *difference*:
+  // trace records are applied to both copies, and the only places the two diverge — the
+  // point's crash-variant bytes plus every write the recovered stack made (tracked via the
+  // disk's write observer) — are listed in `dirty` and restored from the rolling image before
+  // the next point. The dirty footprint is a few KB against a media image ~500x that, so this
+  // replaces the full-media copy per point that used to dominate sweep wall time.
+  std::vector<std::vector<std::byte>> scratch(members);
+  std::vector<std::vector<std::pair<size_t, size_t>>> dirty(members);  // (byte offset, length)
+  const auto mark_dirty = [&](const WriteRecord& record) {
+    dirty[record.disk].emplace_back(record.lba * sector_bytes, record.data.size());
+  };
+  // Slots for each point's fresh member disks and clocks, reused from point to point.
+  std::vector<common::Clock> clocks(members);
+  std::vector<std::optional<simdisk::SimDisk>> disks(members);
+  std::vector<simdisk::SimDisk*> views(members);
+
+  for (size_t pi = begin; pi < end; ++pi) {
+    const CrashPoint& point = points[pi];
+    for (; applied < point.writes_applied; ++applied) {
+      const WriteRecord& record = trace[applied];
+      ApplyWrite(images[record.disk], record, sector_bytes);
+      if (!scratch[record.disk].empty()) {
+        ApplyWrite(scratch[record.disk], record, sector_bytes);
+      }
+    }
+    hooks.Advance(applied);
+
+    switch (point.kind) {
+      case CrashKind::kClean:
+        ++report.clean_points;
+        break;
+      case CrashKind::kCorruptTail:
+        ++report.corrupt_points;
+        break;
+      case CrashKind::kReorder:
+        ++report.reorder_points;
+        break;
+      default:
+        ++report.torn_points;
+    }
+    if (options.only_ordinal >= 0 &&
+        static_cast<int64_t>(point.ordinal) != options.only_ordinal) {
+      continue;  // Replay mode: count every point but recover/check only the requested one.
+    }
+
+    // Reconstruct every member's crashed media. Only the member that owns the cut (or the
+    // reordered epoch) diverges from its rolling image; the others are exactly clean.
+    for (size_t m = 0; m < members; ++m) {
+      if (scratch[m].empty()) {
+        scratch[m] = images[m];  // First recovered point in this range: one full copy.
+      } else {
+        for (const auto& [off, len] : dirty[m]) {
+          std::memcpy(scratch[m].data() + off, images[m].data() + off, len);
+        }
+      }
+      dirty[m].clear();
+    }
+    if (point.kind == CrashKind::kReorder) {
+      for (const uint64_t idx : point.extra) {
+        ApplyWrite(scratch[trace[idx].disk], trace[idx], sector_bytes);
+        mark_dirty(trace[idx]);
+      }
+    } else if (point.kind != CrashKind::kClean) {
+      // Every crash variant mutates only bytes inside the record's own range.
+      ApplyCrashedWrite(scratch[trace[applied].disk], trace[applied], sector_bytes, point);
+      mark_dirty(trace[applied]);
+    }
+
+    for (size_t m = 0; m < members; ++m) {
+      clocks[m] = common::Clock();
+      disks[m].emplace(params, &clocks[m], std::move(scratch[m]));
+      std::vector<std::pair<size_t, size_t>>* member_dirty = &dirty[m];
+      disks[m]->set_write_observer([member_dirty, sector_bytes](simdisk::Lba lba,
+                                                                std::span<const std::byte> data,
+                                                                bool /*durable*/) {
+        member_dirty->emplace_back(lba * sector_bytes, data.size());
+      });
+      views[m] = &*disks[m];
+    }
+    hooks.RecoverAndCheck(point, views, report);
+    for (size_t m = 0; m < members; ++m) {
+      scratch[m] = std::move(*disks[m]).TakeMedia();
+      disks[m].reset();
+    }
+  }
+  return report;
+}
+
+// The acknowledged ops that may be partially persisted at `point`, given that ops[0, next) are
+// fully persisted (the VLD and VLFS rule). A prefix/torn point cuts inside at most the next
+// unfinished op; a reorder point's extras can touch every op whose commit lies inside its
+// epoch (a packed group commit flips them together).
+template <typename Op>
+std::vector<const Op*> InflightOps(const std::vector<Op>& ops, size_t next,
+                                   const CrashPoint& point) {
+  std::vector<const Op*> inflight;
+  if (point.kind == CrashKind::kReorder) {
+    for (size_t i = next; i < ops.size() && ops[i].end_writes <= point.epoch_end; ++i) {
+      inflight.push_back(&ops[i]);
+    }
+  } else if (next < ops.size()) {
+    inflight.push_back(&ops[next]);
+  }
+  return inflight;
+}
+
+// Adds the distinct physical blocks that hold live or pinned map sectors (a packed group commit
+// can put several in one block).
+void InsertMapBlocks(const core::VirtualLog& vlog, std::unordered_set<uint32_t>& blocks) {
+  for (uint32_t k = 0; k < vlog.config().pieces; ++k) {
+    if (const auto block = vlog.LiveBlockOfPiece(k)) {
+      blocks.insert(*block);
+    }
+  }
+  for (const uint32_t block : vlog.PinnedBlocks()) {
+    blocks.insert(block);
+  }
+}
+
 }  // namespace
+
+bool ContentMatches(std::span<const std::byte> got, const std::vector<std::byte>& expect) {
+  if (expect.empty()) {
+    return IsZero(got);
+  }
+  return got.size() == expect.size() &&
+         std::memcmp(got.data(), expect.data(), expect.size()) == 0;
+}
 
 void CrashSweepReport::AddViolation(const CrashPoint& point, const std::string& what,
                                     size_t max_details) {
@@ -135,11 +263,12 @@ std::string CrashSweepReport::Summary() const {
   return os.str();
 }
 
-std::optional<std::string> MapInvariantViolation(const core::Vld& vld, uint64_t& mapped) {
+std::vector<std::string> VldMapViolations(const core::Vld& vld) {
+  std::vector<std::string> violations;
   const std::vector<uint32_t>& map = vld.logical_map();
   const core::FreeSpaceMap& space = vld.space();
   std::vector<bool> phys_seen(space.total_blocks(), false);
-  mapped = 0;
+  uint64_t mapped = 0;  // Mapped logical blocks examined, the violating one included.
   for (uint32_t b = 0; b < map.size(); ++b) {
     const uint32_t phys = map[b];
     if (phys == core::kUnmappedBlock) {
@@ -147,69 +276,85 @@ std::optional<std::string> MapInvariantViolation(const core::Vld& vld, uint64_t&
     }
     ++mapped;
     if (phys >= phys_seen.size()) {
-      return "logical block " + std::to_string(b) + " maps to out-of-range physical block " +
-             std::to_string(phys);
+      violations.push_back("logical block " + std::to_string(b) +
+                           " maps to out-of-range physical block " + std::to_string(phys));
+      break;
     }
     if (phys_seen[phys]) {
-      return "two logical blocks map to physical block " + std::to_string(phys);
+      violations.push_back("two logical blocks map to physical block " + std::to_string(phys));
+      break;
     }
     phys_seen[phys] = true;
     if (space.state(phys) != core::BlockState::kLive) {
-      return "mapped physical block " + std::to_string(phys) +
-             " not marked live in the free-space map";
+      violations.push_back("mapped physical block " + std::to_string(phys) +
+                           " not marked live in the free-space map");
+      break;
     }
   }
-  return std::nullopt;
+  std::unordered_set<uint32_t> map_blocks;
+  InsertMapBlocks(vld.vlog(), map_blocks);
+  if (mapped + map_blocks.size() != space.live_blocks()) {
+    violations.push_back("free-space accounting mismatch: " + std::to_string(mapped) +
+                         " mapped + " + std::to_string(map_blocks.size()) +
+                         " map blocks != " + std::to_string(space.live_blocks()) + " live");
+  }
+  return violations;
 }
 
-uint32_t ResolveSweepWorkers(uint32_t requested, size_t points) {
-  uint32_t workers = requested != 0 ? requested : std::thread::hardware_concurrency();
-  if (workers == 0) {
-    workers = 1;
+CrashSweepReport SweepCrashPoints(
+    const WriteTrace& trace, const simdisk::DiskParams& params, const CrashSweepOptions& options,
+    const std::function<std::unique_ptr<SweepHooks>()>& make_hooks) {
+  if (trace.bases().empty()) {
+    // Record() was never called, or failed before its recorder snapshotted the members: there
+    // are no member images to crash.
+    CrashSweepReport report;
+    report.seed = options.enumerate.seed;
+    report.AddViolation(CrashPoint{}, "no recorded trace to sweep (Record() did not start)",
+                        options.max_violation_details);
+    return report;
   }
-  if (points > 0 && workers > points) {
-    workers = static_cast<uint32_t>(points);
+  // Regular prefix/torn points plus (for write-back traces) reorder points, merged into one
+  // list ordered by writes_applied, with stable per-sweep ordinals — the ordinal a replay names
+  // via --point=.
+  std::vector<CrashPoint> points =
+      EnumerateCrashPoints(trace, params.geometry.sector_bytes, options.enumerate);
+  std::vector<CrashPoint> reorder = EnumerateReorderPoints(trace, options.reorder);
+  points.insert(points.end(), std::make_move_iterator(reorder.begin()),
+                std::make_move_iterator(reorder.end()));
+  std::stable_sort(points.begin(), points.end(), [](const CrashPoint& a, const CrashPoint& b) {
+    return a.writes_applied < b.writes_applied;
+  });
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i].ordinal = i;
   }
-  return workers;
-}
 
-CrashSweepReport RunShardedSweep(
-    size_t points, uint64_t seed, const CrashSweepOptions& options,
-    const std::function<CrashSweepReport(size_t, size_t)>& sweep_range) {
-  const uint32_t workers = ResolveSweepWorkers(options.workers, points);
+  // Contiguous ordinal ranges covering every point, one per worker thread (sizes within one
+  // point of each other). Every crash point's variant seed, ordinal, and image are fixed above
+  // and each range rebuilds its own rolling state from the trace bases, so the only
+  // cross-thread state is the read-only trace and point list, and the merged report —
+  // counters, violation details, recovery times, Summary() text — is byte-identical to a single
+  // serial range at any worker count.
+  const uint32_t workers = ResolveSweepWorkers(options.workers, points.size());
   std::vector<CrashSweepReport> shards(workers);
-  if (workers <= 1) {
-    shards[0] = sweep_range(0, points);
-  } else {
-    // Contiguous ascending ordinal ranges, sizes within one point of each other. Shard w
-    // catches its rolling state up from the trace base (one pass over the write records), so
-    // the only cross-thread state is the read-only trace and point list.
-    const size_t base = points / workers;
-    const size_t rem = points % workers;
-    std::vector<std::pair<size_t, size_t>> ranges(workers);
-    size_t begin = 0;
-    for (uint32_t w = 0; w < workers; ++w) {
-      const size_t size = base + (w < rem ? 1 : 0);
-      ranges[w] = {begin, begin + size};
-      begin += size;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (uint32_t w = 1; w < workers; ++w) {
-      threads.emplace_back(
-          [&shards, &sweep_range, &ranges, w] { shards[w] = sweep_range(ranges[w].first, ranges[w].second); });
-    }
-    shards[0] = sweep_range(ranges[0].first, ranges[0].second);
-    for (std::thread& t : threads) {
-      t.join();
-    }
+  const auto run_shard = [&](uint32_t w) {
+    const std::unique_ptr<SweepHooks> hooks = make_hooks();
+    shards[w] = SweepRange(trace, params, points, points.size() * w / workers,
+                           points.size() * (w + 1) / workers, options, *hooks);
+  };
+  std::vector<std::thread> threads;
+  for (uint32_t w = 1; w < workers; ++w) {
+    threads.emplace_back(run_shard, w);
+  }
+  run_shard(0);
+  for (std::thread& t : threads) {
+    t.join();
   }
   // Merge in shard (= ordinal) order: counters sum, details/recovery times concatenate, and
   // the first shard reporting a violation owns first_violation_ordinal — exactly what the
   // serial loop would have produced.
   CrashSweepReport merged;
-  merged.points = points;
-  merged.seed = seed;
+  merged.points = points.size();
+  merged.seed = options.enumerate.seed;
   for (CrashSweepReport& s : shards) {
     merged.clean_points += s.clean_points;
     merged.torn_points += s.torn_points;
@@ -237,6 +382,28 @@ CrashSweepReport RunShardedSweep(
   return merged;
 }
 
+MediaRecorder::MediaRecorder(WriteTrace& trace, std::vector<simdisk::SimDisk*> disks)
+    : disks_(std::move(disks)) {
+  trace.set_write_back(disks_.front()->params().cache.capacity_sectors > 0);
+  std::vector<std::vector<std::byte>> bases;
+  for (uint32_t m = 0; m < disks_.size(); ++m) {
+    bases.push_back(SnapshotMedia(*disks_[m]));
+    disks_[m]->set_write_observer(
+        [&trace, m](simdisk::Lba lba, std::span<const std::byte> data, bool durable) {
+          trace.Append(lba, data, durable, m);
+        });
+    disks_[m]->set_flush_observer([&trace] { trace.AppendBarrier(); });
+  }
+  trace.set_bases(std::move(bases));
+}
+
+MediaRecorder::~MediaRecorder() {
+  for (simdisk::SimDisk* disk : disks_) {
+    disk->set_write_observer(nullptr);
+    disk->set_flush_observer(nullptr);
+  }
+}
+
 // --- VldCrashSim ---
 
 VldCrashSim::VldCrashSim(simdisk::DiskParams params, core::VldConfig config)
@@ -259,11 +426,7 @@ common::Status VldCrashSim::Record(
   block_bytes_ = vld.block_sectors() * disk.SectorBytes();
   // Recording starts after Format: the base image is the freshly formatted device, and every
   // later media write (data, map sectors, checkpoints, park) lands in the trace.
-  trace_.set_base(SnapshotMedia(disk));
-  trace_.set_write_back(params_.cache.capacity_sectors > 0);
-  disk.set_write_observer([this](simdisk::Lba lba, std::span<const std::byte> data,
-                                 bool durable) { trace_.Append(lba, data, durable); });
-  disk.set_flush_observer([this] { trace_.AppendBarrier(); });
+  const MediaRecorder recorder(trace_, {&disk});
   std::unique_ptr<simdisk::NvmDevice> nvm;
   std::unique_ptr<core::NvmStage> stage;
   if (staged_) {
@@ -283,8 +446,6 @@ common::Status VldCrashSim::Record(
     shadow.AttachStage(stage.get(), &nvm_trace_);
   }
   common::Status status = workload(shadow);
-  disk.set_write_observer(nullptr);
-  disk.set_flush_observer(nullptr);
   if (nvm != nullptr) {
     nvm->set_write_observer(nullptr);
   }
@@ -292,142 +453,59 @@ common::Status VldCrashSim::Record(
   return status;
 }
 
-CrashSweepReport VldCrashSim::Sweep(const CrashSweepOptions& options) const {
-  const std::vector<CrashPoint> points =
-      AllCrashPoints(trace_, params_.geometry.sector_bytes, options);
-  return RunShardedSweep(points.size(), options.enumerate.seed, options,
-                         [&](size_t begin, size_t end) {
-                           return SweepRange(points, begin, end, options);
-                         });
-}
-
-CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, size_t begin,
-                                         size_t end, const CrashSweepOptions& options) const {
-  CrashSweepReport report;
-  const uint32_t sector_bytes = params_.geometry.sector_bytes;
-  const uint32_t block_sectors = block_bytes_ / sector_bytes;
-
-  // Rolling state, advanced monotonically since points are ordered by writes_applied: the
-  // reconstructed image and the committed shadow (contents after every fully-persisted op).
-  // A range that starts mid-sweep catches up via the first iteration's replay loop.
-  std::vector<std::byte> image = trace_.base();
-  uint64_t applied = 0;
-  size_t op_idx = 0;
-  std::vector<std::vector<std::byte>> committed(logical_blocks_);
-
-  // Staged sweeps: the rolling NVM image (NVM is non-volatile, so every write tagged <= the
-  // disk cut is present) plus the pre-write bytes of the last applied NVM record — the undo
-  // buffer torn-NVM-tail variants are synthesized from.
-  size_t nvm_applied = 0;
-  std::vector<std::byte> nvm_image;
-  std::vector<std::byte> nvm_undo;
-  if (staged_) {
-    nvm_image = nvm_trace_.base();
+// Rolling state for one ordinal range: the committed shadow (contents after every
+// fully-persisted op) and, for staged sweeps, the NVM image at the cut.
+class VldCrashSim::Hooks : public SweepHooks {
+ public:
+  Hooks(const VldCrashSim& sim, const CrashSweepOptions& options)
+      : sim_(sim),
+        options_(options),
+        committed_(sim.logical_blocks_),
+        probe_block_(sim.block_bytes_, std::byte{0xA5}),
+        readback_(sim.block_bytes_) {
+    if (sim.staged_) {
+      nvm_image_ = sim.nvm_trace_.base();
+    }
   }
 
-  std::vector<std::byte> probe_block(block_bytes_, std::byte{0xA5});
-  std::vector<std::byte> readback(block_bytes_);
-  // The crashed image, recycled through each point's SimDisk (media-adopting constructor +
-  // TakeMedia). It is kept in sync with the rolling image by *difference*: trace records are
-  // applied to both copies, and the only places the two diverge — the point's crash-variant
-  // bytes plus every write the recovered instance made (tracked via the disk's write
-  // observer) — are listed in `dirty` and restored from `image` before the next point. The
-  // dirty footprint is a few KB against a media image ~500x that, so this replaces the
-  // full-media copy per point that used to dominate sweep wall time.
-  std::vector<std::byte> scratch;
-  std::vector<std::pair<size_t, size_t>> dirty;  // (byte offset, length) of divergences.
-
-  for (size_t pi = begin; pi < end; ++pi) {
-    const CrashPoint& point = points[pi];
-    while (applied < point.writes_applied) {
-      ApplyWrite(image, trace_[applied], sector_bytes);
-      if (!scratch.empty()) {
-        ApplyWrite(scratch, trace_[applied], sector_bytes);
-      }
-      ++applied;
-    }
-    while (op_idx < ops_.size() && ops_[op_idx].end_writes <= applied) {
-      const ShadowVld::Op& op = ops_[op_idx];
+  void Advance(uint64_t applied) override {
+    const std::vector<ShadowVld::Op>& ops = sim_.ops_;
+    while (op_idx_ < ops.size() && ops[op_idx_].end_writes <= applied) {
+      const ShadowVld::Op& op = ops[op_idx_];
       for (size_t i = 0; i < op.blocks.size(); ++i) {
-        committed[op.blocks[i]] = op.after[i];
+        committed_[op.blocks[i]] = op.after[i];
       }
-      ++op_idx;
+      ++op_idx_;
     }
     // An NVM write tagged T happened before disk write #T was issued, so it is persisted at
     // every cut with applied >= T — the same fold rule ops use for end_writes.
-    while (staged_ && nvm_applied < nvm_trace_.size() &&
-           nvm_trace_[nvm_applied].disk_writes <= applied) {
-      const NvmWriteRecord& rec = nvm_trace_[nvm_applied];
-      nvm_undo.assign(nvm_image.begin() + static_cast<ptrdiff_t>(rec.offset),
-                      nvm_image.begin() + static_cast<ptrdiff_t>(rec.offset + rec.data.size()));
-      ApplyNvmWrite(nvm_image, rec);
-      ++nvm_applied;
+    const NvmTrace& nvm_trace = sim_.nvm_trace_;
+    while (sim_.staged_ && nvm_applied_ < nvm_trace.size() &&
+           nvm_trace[nvm_applied_].disk_writes <= applied) {
+      const NvmWriteRecord& rec = nvm_trace[nvm_applied_];
+      nvm_undo_.assign(nvm_image_.begin() + static_cast<ptrdiff_t>(rec.offset),
+                       nvm_image_.begin() + static_cast<ptrdiff_t>(rec.offset + rec.data.size()));
+      ApplyNvmWrite(nvm_image_, rec);
+      ++nvm_applied_;
     }
-    // Which acknowledged ops may be partially persisted at this point. A prefix/torn point cuts
-    // inside at most the next unfinished op; a reorder point's extras can touch every op whose
-    // commit lies inside its epoch (a packed group commit flips them together).
-    std::vector<const ShadowVld::Op*> inflight_ops;
-    if (point.kind == CrashKind::kReorder) {
-      for (size_t i = op_idx; i < ops_.size() && ops_[i].end_writes <= point.epoch_end; ++i) {
-        inflight_ops.push_back(&ops_[i]);
-      }
-    } else if (op_idx < ops_.size()) {
-      inflight_ops.push_back(&ops_[op_idx]);
-    }
+  }
 
-    switch (point.kind) {
-      case CrashKind::kClean:
-        ++report.clean_points;
-        break;
-      case CrashKind::kCorruptTail:
-        ++report.corrupt_points;
-        break;
-      case CrashKind::kReorder:
-        ++report.reorder_points;
-        break;
-      default:
-        ++report.torn_points;
-    }
-    if (options.only_ordinal >= 0 &&
-        static_cast<int64_t>(point.ordinal) != options.only_ordinal) {
-      continue;  // Replay mode: count every point but recover/check only the requested one.
-    }
-
-    // Reconstruct the crashed media and recover a fresh instance over it. The scratch buffer
-    // becomes the disk's media directly; TakeMedia reclaims it at the end of the point.
-    if (scratch.empty()) {
-      scratch = image;  // First recovered point in this range: the one full media copy.
-    } else {
-      for (const auto& [off, len] : dirty) {
-        std::memcpy(scratch.data() + off, image.data() + off, len);
-      }
-    }
-    dirty.clear();
-    if (point.kind == CrashKind::kReorder) {
-      for (const uint64_t idx : point.extra) {
-        ApplyWrite(scratch, trace_[idx], sector_bytes);
-        dirty.emplace_back(trace_[idx].lba * sector_bytes, trace_[idx].data.size());
-      }
-    } else if (point.kind != CrashKind::kClean) {
-      // Every crash variant mutates only bytes inside the record's own range.
-      ApplyCrashedWrite(scratch, trace_[applied], sector_bytes, point);
-      dirty.emplace_back(trace_[applied].lba * sector_bytes, trace_[applied].data.size());
-    }
-    common::Clock clock;
-    simdisk::SimDisk disk(params_, &clock, std::move(scratch));
-    disk.set_write_observer(
-        [&](simdisk::Lba lba, std::span<const std::byte> data, bool /*durable*/) {
-          dirty.emplace_back(lba * sector_bytes, data.size());
-        });
-    core::Vld vld(&disk, config_);
+  void RecoverAndCheck(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+                       CrashSweepReport& report) override {
+    const std::vector<ShadowVld::Op>& ops = sim_.ops_;
+    const bool staged = sim_.staged_;
+    const uint32_t block_sectors = sim_.block_bytes_ / sim_.params_.geometry.sector_bytes;
+    const uint64_t applied = point.writes_applied;
+    const size_t max_details = options_.max_violation_details;
+    const std::vector<const ShadowVld::Op*> inflight_ops = InflightOps(ops, op_idx_, point);
+    common::Clock& clock = *disks[0]->clock();
+    core::Vld vld(disks[0], sim_.config_);
     const common::Time start = clock.Now();
     auto info = vld.Recover();
     report.recovery_times.push_back(clock.Now() - start);
     if (!info.ok()) {
-      report.AddViolation(point, "recovery failed: " + info.status().ToString(),
-                          options.max_violation_details);
-      scratch = std::move(disk).TakeMedia();
-      continue;
+      report.AddViolation(point, "recovery failed: " + info.status().ToString(), max_details);
+      return;
     }
     (info->used_scan ? report.scan_recoveries : report.park_recoveries) += 1;
     report.checkpoint_recoveries += info->from_checkpoint ? 1 : 0;
@@ -442,26 +520,24 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     // an acked-in-NVM write must be served from the replayed overlay.
     std::optional<simdisk::NvmDevice> nvm_dev;
     std::optional<core::NvmStage> stage;
-    if (staged_) {
-      nvm_dev.emplace(nvm_params_, &clock, nvm_image);
-      stage.emplace(&*nvm_dev, &vld, stage_config_);
+    if (staged) {
+      nvm_dev.emplace(sim_.nvm_params_, &clock, nvm_image_);
+      stage.emplace(&*nvm_dev, &vld, sim_.stage_config_);
       auto stage_info = stage->Recover();
       if (!stage_info.ok()) {
         report.AddViolation(point,
                             "nvm stage recovery failed: " + stage_info.status().ToString(),
-                            options.max_violation_details);
-        scratch = std::move(disk).TakeMedia();
-        continue;
+                            max_details);
+        return;
       }
       ++report.nvm_points;
       if (stage_info->torn_tail_dropped) {
-        report.AddViolation(point, "intact NVM image replayed with a torn tail",
-                            options.max_violation_details);
+        report.AddViolation(point, "intact NVM image replayed with a torn tail", max_details);
       }
     }
     const auto read_block = [&](uint32_t b, std::span<std::byte> out) {
       const simdisk::Lba lba = static_cast<simdisk::Lba>(b) * block_sectors;
-      return staged_ ? stage->Read(lba, out) : vld.Read(lba, out);
+      return staged ? stage->Read(lba, out) : vld.Read(lba, out);
     };
 
     // Invariant 2: committed contents exact; in-flight blocks all-old or all-new. When several
@@ -485,55 +561,35 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     bool all_old = true;
     bool all_new = true;
     bool content_ok = true;
-    for (uint32_t b = 0; b < logical_blocks_ && content_ok; ++b) {
-      if (!read_block(b, readback).ok()) {
+    for (uint32_t b = 0; b < sim_.logical_blocks_ && content_ok; ++b) {
+      if (!read_block(b, readback_).ok()) {
         report.AddViolation(point, "read of logical block " + std::to_string(b) + " failed",
-                            options.max_violation_details);
+                            max_details);
         content_ok = false;
         break;
       }
       const auto it = inflight_index.find(b);
       if (it == inflight_index.end()) {
-        if (!ContentMatches(readback, committed[b])) {
+        if (!ContentMatches(readback_, committed_[b])) {
           report.AddViolation(point,
                               "committed logical block " + std::to_string(b) +
                                   " has wrong contents after recovery",
-                              options.max_violation_details);
+                              max_details);
           content_ok = false;
         }
         continue;
       }
-      all_old = all_old && ContentMatches(readback, *it->second.before);
-      all_new = all_new && ContentMatches(readback, *it->second.after);
+      all_old = all_old && ContentMatches(readback_, *it->second.before);
+      all_new = all_new && ContentMatches(readback_, *it->second.after);
     }
     if (content_ok && !(all_old || all_new)) {
       report.AddViolation(point, "in-flight command partially applied (atomicity violated)",
-                          options.max_violation_details);
+                          max_details);
     }
 
-    // Invariant 3: the recovered map is injective over physical blocks.
-    uint64_t mapped = 0;
-    if (const auto violation = MapInvariantViolation(vld, mapped)) {
-      report.AddViolation(point, *violation, options.max_violation_details);
-    }
-
-    // Invariant 4: free-space accounting equals mapped data + live map pieces + pinned blocks.
-    std::unordered_set<uint32_t> map_blocks;
-    for (uint32_t k = 0; k < vld.vlog().config().pieces; ++k) {
-      if (const auto block = vld.vlog().LiveBlockOfPiece(k)) {
-        map_blocks.insert(*block);
-      }
-    }
-    for (const uint32_t block : vld.vlog().PinnedBlocks()) {
-      map_blocks.insert(block);
-    }
-    if (mapped + map_blocks.size() != vld.space().live_blocks()) {
-      report.AddViolation(point,
-                          "free-space accounting mismatch: " + std::to_string(mapped) +
-                              " mapped + " + std::to_string(map_blocks.size()) +
-                              " map blocks != " + std::to_string(vld.space().live_blocks()) +
-                              " live",
-                          options.max_violation_details);
+    // Invariants 3 (injective map) and 4 (free-space accounting).
+    for (const std::string& violation : VldMapViolations(vld)) {
+      report.AddViolation(point, violation, max_details);
     }
 
     // Torn-NVM-tail matrix: a crash during an NVM append keeps a line-aligned prefix of it. A
@@ -544,16 +600,17 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     // record CRCs must drop exactly the torn record, so the op that owns the append reads back
     // all-old-or-all-new and earlier committed staged ops keep their exact contents. These
     // checks run before the probe, which mutates block 0.
-    if (staged_ && point.kind == CrashKind::kClean && nvm_applied > 0 &&
-        nvm_trace_[nvm_applied - 1].disk_writes == applied &&
-        nvm_trace_[nvm_applied - 1].offset != 0) {
-      const NvmWriteRecord& last = nvm_trace_[nvm_applied - 1];
+    const NvmTrace& nvm_trace = sim_.nvm_trace_;
+    if (staged && point.kind == CrashKind::kClean && nvm_applied_ > 0 &&
+        nvm_trace[nvm_applied_ - 1].disk_writes == applied &&
+        nvm_trace[nvm_applied_ - 1].offset != 0) {
+      const NvmWriteRecord& last = nvm_trace[nvm_applied_ - 1];
       // The op whose acknowledgement covers the torn append — the in-flight op for these
       // variants. Ops record the NVM trace length at ack, monotonically.
       const auto owner_it =
-          std::lower_bound(ops_.begin(), ops_.end(), nvm_applied,
+          std::lower_bound(ops.begin(), ops.end(), nvm_applied_,
                            [](const ShadowVld::Op& op, size_t n) { return op.nvm_end < n; });
-      const ShadowVld::Op* owner = owner_it != ops_.end() ? &*owner_it : nullptr;
+      const ShadowVld::Op* owner = owner_it != ops.end() ? &*owner_it : nullptr;
       std::unordered_set<uint32_t> owner_blocks;
       if (owner != nullptr) {
         owner_blocks.insert(owner->blocks.begin(), owner->blocks.end());
@@ -561,29 +618,29 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
       // Recently committed ops are collateral-damage sentinels: their records precede the torn
       // append, so the tear must leave their contents untouched.
       std::vector<const ShadowVld::Op*> sentinels;
-      for (auto it = owner_it; it != ops_.begin() && sentinels.size() < 6;) {
+      for (auto it = owner_it; it != ops.begin() && sentinels.size() < 6;) {
         --it;
         if (it->end_writes <= applied && !it->blocks.empty()) {
           sentinels.push_back(&*it);
         }
       }
-      const uint32_t line = nvm_params_.cache_line_bytes;
+      const uint32_t line = sim_.nvm_params_.cache_line_bytes;
       const uint64_t lines = last.data.size() / line;
       const uint64_t step = std::max<uint64_t>(1, lines / 4);
       for (uint64_t cl = 0; cl < lines; cl += step) {
         const uint64_t cut = cl * line;
-        std::vector<std::byte> torn = nvm_image;
-        std::memcpy(torn.data() + last.offset + cut, nvm_undo.data() + cut,
+        std::vector<std::byte> torn = nvm_image_;
+        std::memcpy(torn.data() + last.offset + cut, nvm_undo_.data() + cut,
                     last.data.size() - cut);
-        simdisk::NvmDevice torn_nvm(nvm_params_, &clock, std::move(torn));
-        core::NvmStage torn_stage(&torn_nvm, &vld, stage_config_);
+        simdisk::NvmDevice torn_nvm(sim_.nvm_params_, &clock, std::move(torn));
+        core::NvmStage torn_stage(&torn_nvm, &vld, sim_.stage_config_);
         ++report.nvm_torn_points;
         auto torn_info = torn_stage.Recover();
         if (!torn_info.ok()) {
           report.AddViolation(point,
                               "nvm tear at line " + std::to_string(cl) +
                                   ": stage recovery failed: " + torn_info.status().ToString(),
-                              options.max_violation_details);
+                              max_details);
           continue;
         }
         bool t_ok = true;
@@ -592,23 +649,23 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
           bool t_all_new = true;
           for (size_t i = 0; i < owner->blocks.size() && t_ok; ++i) {
             if (!torn_stage.Read(static_cast<simdisk::Lba>(owner->blocks[i]) * block_sectors,
-                                 readback)
+                                 readback_)
                      .ok()) {
               report.AddViolation(point,
                                   "nvm tear at line " + std::to_string(cl) +
                                       ": read of owning op's block failed",
-                                  options.max_violation_details);
+                                  max_details);
               t_ok = false;
               break;
             }
-            t_all_old = t_all_old && ContentMatches(readback, owner->before[i]);
-            t_all_new = t_all_new && ContentMatches(readback, owner->after[i]);
+            t_all_old = t_all_old && ContentMatches(readback_, owner->before[i]);
+            t_all_new = t_all_new && ContentMatches(readback_, owner->after[i]);
           }
           if (t_ok && !(t_all_old || t_all_new)) {
             report.AddViolation(point,
                                 "nvm tear at line " + std::to_string(cl) +
                                     ": op owning the torn append partially applied",
-                                options.max_violation_details);
+                                max_details);
           }
         }
         for (const ShadowVld::Op* op : sentinels) {
@@ -617,12 +674,12 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
             if (owner_blocks.count(b) != 0 || inflight_index.count(b) != 0) {
               continue;  // Covered by the all-old-or-all-new checks instead.
             }
-            if (!torn_stage.Read(static_cast<simdisk::Lba>(b) * block_sectors, readback).ok() ||
-                !ContentMatches(readback, committed[b])) {
+            if (!torn_stage.Read(static_cast<simdisk::Lba>(b) * block_sectors, readback_).ok() ||
+                !ContentMatches(readback_, committed_[b])) {
               report.AddViolation(point,
                                   "nvm tear at line " + std::to_string(cl) +
                                       ": committed block " + std::to_string(b) + " disturbed",
-                                  options.max_violation_details);
+                                  max_details);
               t_ok = false;
             }
           }
@@ -632,22 +689,38 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
 
     // Invariant 5: the recovered device still accepts and serves writes. Staged runs push the
     // probe through the stage and a full drain, exercising destage + allocator in one go.
-    if (options.probe_after_recovery) {
-      common::Status st = staged_ ? stage->Write(0, probe_block) : vld.Write(0, probe_block);
-      if (st.ok() && staged_) {
+    if (options_.probe_after_recovery) {
+      common::Status st = staged ? stage->Write(0, probe_block_) : vld.Write(0, probe_block_);
+      if (st.ok() && staged) {
         st = stage->Drain();
       }
       if (st.ok()) {
-        st = staged_ ? stage->Read(0, readback) : vld.Read(0, readback);
+        st = staged ? stage->Read(0, readback_) : vld.Read(0, readback_);
       }
-      if (!st.ok() || !ContentMatches(readback, probe_block)) {
-        report.AddViolation(point, "post-recovery probe write/read failed",
-                            options.max_violation_details);
+      if (!st.ok() || !ContentMatches(readback_, probe_block_)) {
+        report.AddViolation(point, "post-recovery probe write/read failed", max_details);
       }
     }
-    scratch = std::move(disk).TakeMedia();
   }
-  return report;
+
+ private:
+  const VldCrashSim& sim_;
+  const CrashSweepOptions& options_;
+  size_t op_idx_ = 0;
+  std::vector<std::vector<std::byte>> committed_;
+  // Staged sweeps: the rolling NVM image (NVM is non-volatile, so every write tagged <= the
+  // disk cut is present) plus the pre-write bytes of the last applied NVM record — the undo
+  // buffer torn-NVM-tail variants are synthesized from.
+  size_t nvm_applied_ = 0;
+  std::vector<std::byte> nvm_image_;
+  std::vector<std::byte> nvm_undo_;
+  std::vector<std::byte> probe_block_;
+  std::vector<std::byte> readback_;
+};
+
+CrashSweepReport VldCrashSim::Sweep(const CrashSweepOptions& options) const {
+  return SweepCrashPoints(trace_, params_, options,
+                          [&] { return std::make_unique<Hooks>(*this, options); });
 }
 
 // --- VlfsCrashSim ---
@@ -661,11 +734,7 @@ common::Status VlfsCrashSim::Record(const std::vector<VlfsOp>& script) {
   simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
   vlfs::Vlfs fs(&disk, &host, config_);
   RETURN_IF_ERROR(fs.Format());
-  trace_.set_base(SnapshotMedia(disk));
-  trace_.set_write_back(params_.cache.capacity_sectors > 0);
-  disk.set_write_observer([this](simdisk::Lba lba, std::span<const std::byte> data,
-                                 bool durable) { trace_.Append(lba, data, durable); });
-  disk.set_flush_observer([this] { trace_.AppendBarrier(); });
+  const MediaRecorder recorder(trace_, {&disk});
 
   // The expected-state model is maintained here, not read back from the fs: a divergence shows
   // up in the sweep (including at the final clean point, which is the uncrashed state).
@@ -725,38 +794,177 @@ common::Status VlfsCrashSim::Record(const std::vector<VlfsOp>& script) {
     }
     ops_.push_back(std::move(rec));
   }
-  disk.set_write_observer(nullptr);
-  disk.set_flush_observer(nullptr);
   return common::OkStatus();
 }
 
-CrashSweepReport VlfsCrashSim::Sweep(const CrashSweepOptions& options) const {
-  const std::vector<CrashPoint> points =
-      AllCrashPoints(trace_, params_.geometry.sector_bytes, options);
-  return RunShardedSweep(points.size(), options.enumerate.seed, options,
-                         [&](size_t begin, size_t end) {
-                           return SweepRange(points, begin, end, options);
-                         });
-}
+// Rolling state for one ordinal range: the committed namespace (path -> state after every
+// fully-persisted op).
+class VlfsCrashSim::Hooks : public SweepHooks {
+ public:
+  Hooks(const VlfsCrashSim& sim, const CrashSweepOptions& options)
+      : sim_(sim), options_(options) {}
 
-CrashSweepReport VlfsCrashSim::SweepRange(const std::vector<CrashPoint>& points, size_t begin,
-                                          size_t end, const CrashSweepOptions& options) const {
-  CrashSweepReport report;
-  const uint32_t sector_bytes = params_.geometry.sector_bytes;
+  void Advance(uint64_t applied) override {
+    while (op_idx_ < sim_.ops_.size() && sim_.ops_[op_idx_].end_writes <= applied) {
+      const FsOpRecord& op = sim_.ops_[op_idx_];
+      if (!op.path.empty()) {
+        if (op.after.has_value()) {
+          committed_[op.path] = *op.after;
+        } else {
+          committed_.erase(op.path);
+        }
+      }
+      ++op_idx_;
+    }
+  }
 
-  std::vector<std::byte> image = trace_.base();
-  uint64_t applied = 0;
-  size_t op_idx = 0;
-  std::unordered_map<std::string, FileState> committed;
-  // Recycled through each point's SimDisk and synced by dirty-range restore; see
-  // VldCrashSim::SweepRange.
-  std::vector<std::byte> scratch;
-  std::vector<std::pair<size_t, size_t>> dirty;
+  void RecoverAndCheck(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+                       CrashSweepReport& report) override {
+    const size_t max_details = options_.max_violation_details;
+    // Per path, the first in-flight toucher's before-image and last toucher's after-image.
+    std::unordered_map<std::string, std::pair<const FsOpRecord*, const FsOpRecord*>>
+        inflight_paths;
+    for (const FsOpRecord* op : InflightOps(sim_.ops_, op_idx_, point)) {
+      if (op->path.empty()) {
+        continue;
+      }
+      auto [it, inserted] = inflight_paths.try_emplace(op->path, op, op);
+      if (!inserted) {
+        it->second.second = op;
+      }
+    }
 
+    simdisk::SimDisk& disk = *disks[0];
+    common::Clock& clock = *disk.clock();
+    simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
+    vlfs::Vlfs fs(&disk, &host, sim_.config_);
+    const common::Time start = clock.Now();
+    auto info = fs.Recover();
+    report.recovery_times.push_back(clock.Now() - start);
+    if (!info.ok()) {
+      report.AddViolation(point, "recovery failed: " + info.status().ToString(), max_details);
+      return;
+    }
+    (info->used_scan ? report.scan_recoveries : report.park_recoveries) += 1;
+    report.checkpoint_recoveries += info->from_checkpoint ? 1 : 0;
+    report.rolled_back_recoveries += info->discarded_txn_sectors > 0 ? 1 : 0;
+
+    for (const std::string& path : sim_.all_paths_) {
+      const auto infl = inflight_paths.find(path);
+      if (infl != inflight_paths.end()) {
+        // The in-flight operation(s) must be all-or-nothing at the file level.
+        const std::string as_old = CheckPath(fs, path, infl->second.first->before);
+        if (!as_old.empty()) {
+          const std::string as_new = CheckPath(fs, path, infl->second.second->after);
+          if (!as_new.empty()) {
+            report.AddViolation(point,
+                                "in-flight op on '" + path + "' neither old nor new state (" +
+                                    as_old + " / " + as_new + ")",
+                                max_details);
+          }
+        }
+        continue;
+      }
+      const auto it = committed_.find(path);
+      const std::string err = CheckPath(
+          fs, path, it == committed_.end() ? std::nullopt : std::optional<FileState>(it->second));
+      if (!err.empty()) {
+        report.AddViolation(point, err, max_details);
+      }
+    }
+
+    // Invariant 4 (mirrors VldCrashSim): the recovered allocator must agree with a free-space
+    // shadow rebuilt independently from the recovered metadata — live inode-map blocks, the
+    // virtual log's live/pinned map blocks, and every data/indirect block reachable from a
+    // live inode read straight off the crashed media image.
+    const uint32_t block_sectors = fs.block_sectors();
+    const size_t block_bytes =
+        static_cast<size_t>(block_sectors) * sim_.params_.geometry.sector_bytes;
+    std::unordered_set<uint32_t> shadow;
+    const std::vector<uint32_t>& imap = fs.inode_map();
+    for (const uint32_t phys : imap) {
+      if (phys != core::kUnmappedBlock) {
+        shadow.insert(phys);
+      }
+    }
+    InsertMapBlocks(fs.vlog(), shadow);
+    std::vector<std::byte> iraw(block_bytes);
+    std::vector<std::byte> table(block_bytes);
+    for (const uint32_t iphys : imap) {
+      if (iphys == core::kUnmappedBlock) {
+        continue;
+      }
+      disk.PeekMedia(static_cast<simdisk::Lba>(iphys) * block_sectors, iraw);
+      for (uint32_t i = 0; i < ufs::kInodesPerBlock; ++i) {
+        const ufs::Inode inode =
+            ufs::Inode::Decode(std::span<const std::byte>(iraw).subspan(i * ufs::kInodeBytes));
+        if (inode.IsFree()) {
+          continue;
+        }
+        const uint64_t blocks = (inode.size + block_bytes - 1) / block_bytes;
+        for (uint64_t fbi = 0; fbi < std::min<uint64_t>(blocks, ufs::kDirectPtrs); ++fbi) {
+          if (inode.direct[fbi] != ufs::kNoAddr) {
+            shadow.insert(inode.direct[fbi]);
+          }
+        }
+        if (inode.indirect != ufs::kNoAddr) {
+          shadow.insert(inode.indirect);
+          disk.PeekMedia(static_cast<simdisk::Lba>(inode.indirect) * block_sectors, table);
+          const uint64_t limit = std::min<uint64_t>(blocks, ufs::kDirectPtrs + ufs::kPtrsPerBlock);
+          for (uint64_t fbi = ufs::kDirectPtrs; fbi < limit; ++fbi) {
+            const uint32_t phys = common::LoadLe<uint32_t>(table, (fbi - ufs::kDirectPtrs) * 4);
+            if (phys != ufs::kNoAddr) {
+              shadow.insert(phys);
+            }
+          }
+        }
+      }
+    }
+    bool shadow_ok = true;
+    for (const uint32_t block : shadow) {
+      if (fs.space().state(block) != core::BlockState::kLive) {
+        report.AddViolation(point,
+                            "allocator disagrees with shadow: block " + std::to_string(block) +
+                                " reachable but not live",
+                            max_details);
+        shadow_ok = false;
+        break;
+      }
+    }
+    if (shadow_ok && fs.space().live_blocks() != shadow.size()) {
+      report.AddViolation(point,
+                          "allocator live-block count " +
+                              std::to_string(fs.space().live_blocks()) +
+                              " != shadow reachable count " + std::to_string(shadow.size()),
+                          max_details);
+    }
+
+    if (options_.probe_after_recovery) {
+      const std::string probe = "/crashsim-probe";
+      std::vector<std::byte> payload(1024, std::byte{0x5A});
+      std::vector<std::byte> back(payload.size());
+      common::Status st = fs.Create(probe);
+      if (st.ok()) {
+        st = fs.Write(probe, 0, payload, fs::WritePolicy::kSync);
+      }
+      if (st.ok()) {
+        auto read = fs.Read(probe, 0, back);
+        st = read.ok() ? common::OkStatus() : read.status();
+        if (st.ok() && (static_cast<size_t>(*read) != back.size() || back != payload)) {
+          st = common::Corruption("probe readback mismatch");
+        }
+      }
+      if (!st.ok()) {
+        report.AddViolation(point, "post-recovery probe failed: " + st.ToString(), max_details);
+      }
+    }
+  }
+
+ private:
   // Checks one path against an expected state (nullopt = absent). Returns a description of the
   // mismatch, or an empty string.
-  auto check_path = [](vlfs::Vlfs& fs, const std::string& path,
-                       const std::optional<FileState>& expect) -> std::string {
+  static std::string CheckPath(vlfs::Vlfs& fs, const std::string& path,
+                               const std::optional<FileState>& expect) {
     auto stat = fs.Stat(path);
     if (!expect.has_value()) {
       return stat.ok() ? "path '" + path + "' resurrected after recovery" : "";
@@ -782,231 +990,17 @@ CrashSweepReport VlfsCrashSim::SweepRange(const std::vector<CrashPoint>& points,
       }
     }
     return "";
-  };
-
-  for (size_t pi = begin; pi < end; ++pi) {
-    const CrashPoint& point = points[pi];
-    while (applied < point.writes_applied) {
-      ApplyWrite(image, trace_[applied], sector_bytes);
-      if (!scratch.empty()) {
-        ApplyWrite(scratch, trace_[applied], sector_bytes);
-      }
-      ++applied;
-    }
-    while (op_idx < ops_.size() && ops_[op_idx].end_writes <= applied) {
-      const FsOpRecord& op = ops_[op_idx];
-      if (!op.path.empty()) {
-        if (op.after.has_value()) {
-          committed[op.path] = *op.after;
-        } else {
-          committed.erase(op.path);
-        }
-      }
-      ++op_idx;
-    }
-    // In-flight ops (see VldCrashSim::Sweep): for reorder points every op committed inside the
-    // epoch may be partially persisted; otherwise just the next unfinished one.
-    std::vector<const FsOpRecord*> inflight_ops;
-    if (point.kind == CrashKind::kReorder) {
-      for (size_t i = op_idx; i < ops_.size() && ops_[i].end_writes <= point.epoch_end; ++i) {
-        inflight_ops.push_back(&ops_[i]);
-      }
-    } else if (op_idx < ops_.size()) {
-      inflight_ops.push_back(&ops_[op_idx]);
-    }
-    // Per path, the first toucher's before-image and last toucher's after-image.
-    std::unordered_map<std::string, std::pair<const FsOpRecord*, const FsOpRecord*>>
-        inflight_paths;
-    for (const FsOpRecord* op : inflight_ops) {
-      if (op->path.empty()) {
-        continue;
-      }
-      auto [it, inserted] = inflight_paths.try_emplace(op->path, op, op);
-      if (!inserted) {
-        it->second.second = op;
-      }
-    }
-
-    switch (point.kind) {
-      case CrashKind::kClean:
-        ++report.clean_points;
-        break;
-      case CrashKind::kCorruptTail:
-        ++report.corrupt_points;
-        break;
-      case CrashKind::kReorder:
-        ++report.reorder_points;
-        break;
-      default:
-        ++report.torn_points;
-    }
-    if (options.only_ordinal >= 0 &&
-        static_cast<int64_t>(point.ordinal) != options.only_ordinal) {
-      continue;  // Replay mode: count every point but recover/check only the requested one.
-    }
-
-    if (scratch.empty()) {
-      scratch = image;  // First recovered point in this range: the one full media copy.
-    } else {
-      for (const auto& [off, len] : dirty) {
-        std::memcpy(scratch.data() + off, image.data() + off, len);
-      }
-    }
-    dirty.clear();
-    if (point.kind == CrashKind::kReorder) {
-      for (const uint64_t idx : point.extra) {
-        ApplyWrite(scratch, trace_[idx], sector_bytes);
-        dirty.emplace_back(trace_[idx].lba * sector_bytes, trace_[idx].data.size());
-      }
-    } else if (point.kind != CrashKind::kClean) {
-      // Every crash variant mutates only bytes inside the record's own range.
-      ApplyCrashedWrite(scratch, trace_[applied], sector_bytes, point);
-      dirty.emplace_back(trace_[applied].lba * sector_bytes, trace_[applied].data.size());
-    }
-    common::Clock clock;
-    simdisk::SimDisk disk(params_, &clock, std::move(scratch));
-    disk.set_write_observer(
-        [&](simdisk::Lba lba, std::span<const std::byte> data, bool /*durable*/) {
-          dirty.emplace_back(lba * sector_bytes, data.size());
-        });
-    simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
-    vlfs::Vlfs fs(&disk, &host, config_);
-    const common::Time start = clock.Now();
-    auto info = fs.Recover();
-    report.recovery_times.push_back(clock.Now() - start);
-    if (!info.ok()) {
-      report.AddViolation(point, "recovery failed: " + info.status().ToString(),
-                          options.max_violation_details);
-      scratch = std::move(disk).TakeMedia();
-      continue;
-    }
-    (info->used_scan ? report.scan_recoveries : report.park_recoveries) += 1;
-    report.checkpoint_recoveries += info->from_checkpoint ? 1 : 0;
-    report.rolled_back_recoveries += info->discarded_txn_sectors > 0 ? 1 : 0;
-
-    for (const std::string& path : all_paths_) {
-      const auto infl = inflight_paths.find(path);
-      if (infl != inflight_paths.end()) {
-        // The in-flight operation(s) must be all-or-nothing at the file level.
-        const std::string as_old = check_path(fs, path, infl->second.first->before);
-        if (!as_old.empty()) {
-          const std::string as_new = check_path(fs, path, infl->second.second->after);
-          if (!as_new.empty()) {
-            report.AddViolation(
-                point, "in-flight op on '" + path + "' neither old nor new state (" + as_old +
-                           " / " + as_new + ")",
-                options.max_violation_details);
-          }
-        }
-        continue;
-      }
-      const auto it = committed.find(path);
-      const std::string err = check_path(
-          fs, path, it == committed.end() ? std::nullopt : std::optional<FileState>(it->second));
-      if (!err.empty()) {
-        report.AddViolation(point, err, options.max_violation_details);
-      }
-    }
-
-    // Invariant 4 (mirrors VldCrashSim): the recovered allocator must agree with a free-space
-    // shadow rebuilt independently from the recovered metadata — live inode-map blocks, the
-    // virtual log's live/pinned map blocks, and every data/indirect block reachable from a
-    // live inode read straight off the crashed media image.
-    {
-      const uint32_t block_sectors = fs.block_sectors();
-      const size_t block_bytes = static_cast<size_t>(block_sectors) * sector_bytes;
-      std::unordered_set<uint32_t> shadow;
-      const std::vector<uint32_t>& imap = fs.inode_map();
-      for (const uint32_t phys : imap) {
-        if (phys != core::kUnmappedBlock) {
-          shadow.insert(phys);
-        }
-      }
-      for (uint32_t k = 0; k < fs.vlog().config().pieces; ++k) {
-        if (const auto block = fs.vlog().LiveBlockOfPiece(k)) {
-          shadow.insert(*block);
-        }
-      }
-      for (const uint32_t block : fs.vlog().PinnedBlocks()) {
-        shadow.insert(block);
-      }
-      std::vector<std::byte> iraw(block_bytes);
-      std::vector<std::byte> table(block_bytes);
-      for (const uint32_t iphys : imap) {
-        if (iphys == core::kUnmappedBlock) {
-          continue;
-        }
-        disk.PeekMedia(static_cast<simdisk::Lba>(iphys) * block_sectors, iraw);
-        for (uint32_t i = 0; i < ufs::kInodesPerBlock; ++i) {
-          const ufs::Inode inode = ufs::Inode::Decode(
-              std::span<const std::byte>(iraw).subspan(i * ufs::kInodeBytes));
-          if (inode.IsFree()) {
-            continue;
-          }
-          const uint64_t blocks = (inode.size + block_bytes - 1) / block_bytes;
-          for (uint64_t fbi = 0; fbi < std::min<uint64_t>(blocks, ufs::kDirectPtrs); ++fbi) {
-            if (inode.direct[fbi] != ufs::kNoAddr) {
-              shadow.insert(inode.direct[fbi]);
-            }
-          }
-          if (inode.indirect != ufs::kNoAddr) {
-            shadow.insert(inode.indirect);
-            disk.PeekMedia(static_cast<simdisk::Lba>(inode.indirect) * block_sectors, table);
-            const uint64_t limit =
-                std::min<uint64_t>(blocks, ufs::kDirectPtrs + ufs::kPtrsPerBlock);
-            for (uint64_t fbi = ufs::kDirectPtrs; fbi < limit; ++fbi) {
-              const uint32_t phys =
-                  common::LoadLe<uint32_t>(table, (fbi - ufs::kDirectPtrs) * 4);
-              if (phys != ufs::kNoAddr) {
-                shadow.insert(phys);
-              }
-            }
-          }
-        }
-      }
-      bool shadow_ok = true;
-      for (const uint32_t block : shadow) {
-        if (fs.space().state(block) != core::BlockState::kLive) {
-          report.AddViolation(point,
-                              "allocator disagrees with shadow: block " +
-                                  std::to_string(block) + " reachable but not live",
-                              options.max_violation_details);
-          shadow_ok = false;
-          break;
-        }
-      }
-      if (shadow_ok && fs.space().live_blocks() != shadow.size()) {
-        report.AddViolation(point,
-                            "allocator live-block count " +
-                                std::to_string(fs.space().live_blocks()) +
-                                " != shadow reachable count " + std::to_string(shadow.size()),
-                            options.max_violation_details);
-      }
-    }
-
-    if (options.probe_after_recovery) {
-      const std::string probe = "/crashsim-probe";
-      std::vector<std::byte> payload(1024, std::byte{0x5A});
-      std::vector<std::byte> back(payload.size());
-      common::Status st = fs.Create(probe);
-      if (st.ok()) {
-        st = fs.Write(probe, 0, payload, fs::WritePolicy::kSync);
-      }
-      if (st.ok()) {
-        auto read = fs.Read(probe, 0, back);
-        st = read.ok() ? common::OkStatus() : read.status();
-        if (st.ok() && (static_cast<size_t>(*read) != back.size() || back != payload)) {
-          st = common::Corruption("probe readback mismatch");
-        }
-      }
-      if (!st.ok()) {
-        report.AddViolation(point, "post-recovery probe failed: " + st.ToString(),
-                            options.max_violation_details);
-      }
-    }
-    scratch = std::move(disk).TakeMedia();
   }
-  return report;
+
+  const VlfsCrashSim& sim_;
+  const CrashSweepOptions& options_;
+  size_t op_idx_ = 0;
+  std::unordered_map<std::string, FileState> committed_;
+};
+
+CrashSweepReport VlfsCrashSim::Sweep(const CrashSweepOptions& options) const {
+  return SweepCrashPoints(trace_, params_, options,
+                          [&] { return std::make_unique<Hooks>(*this, options); });
 }
 
 }  // namespace vlog::crashsim

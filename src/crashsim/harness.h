@@ -12,12 +12,24 @@
 //   5. The recovered device still works: a probe write/read round-trips (allocator sanity).
 // At the VLFS level the shadow model is a path -> (type, contents) map and the same
 // all-or-nothing rule applies to the file-level operation in flight.
+//
+// Every harness (VLD with or without an NVM stage, VLFS, and the array in array_harness.h)
+// runs on one sweep engine over N member disks (N = 1 for VLD and VLFS). The engine owns what
+// does not depend on the stack under test: the rolling per-member images and their scratch
+// copies, catch-up through the trace, the per-kind point tallies and the --point replay filter,
+// the dirty-range restore and crash-variant splice, one fresh Clock + SimDisk per member at
+// every point (and reclaiming its media), and the sharding of ordinal ranges over worker
+// threads. A stack supplies SweepHooks: one call folds the ops acknowledged so far into its
+// shadow model, the other recovers over the crashed member disks and checks that stack's
+// invariants. Both run once per point, never per block.
 #ifndef SRC_CRASHSIM_HARNESS_H_
 #define SRC_CRASHSIM_HARNESS_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +43,7 @@
 #include "src/nvm/nvm_stage.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/nvm_device.h"
+#include "src/simdisk/sim_disk.h"
 #include "src/vlfs/vlfs.h"
 
 namespace vlog::crashsim {
@@ -84,33 +97,51 @@ struct CrashSweepReport {
   std::string Summary() const;
 };
 
-// Shared by every sweep implementation (single-disk, VLFS, array): regular prefix/torn points
-// plus (for write-back traces) reorder points, merged into one list ordered by writes_applied,
-// with stable per-sweep ordinals — the ordinal a replay names via --point=.
-std::vector<CrashPoint> AllCrashPoints(const WriteTrace& trace, uint32_t sector_bytes,
-                                       const CrashSweepOptions& options);
-// "crash point #<ordinal> n=<writes> kind=..." — the prefix AddViolation puts on details.
-std::string CrashPointName(const CrashPoint& point);
+// What one stack contributes to a sweep. The engine makes one instance per ordinal range, so an
+// instance's rolling state is never shared between worker threads.
+class SweepHooks {
+ public:
+  SweepHooks() = default;
+  SweepHooks(const SweepHooks&) = delete;
+  SweepHooks& operator=(const SweepHooks&) = delete;
+  virtual ~SweepHooks() = default;
+  // Folds every op acknowledged within the first `applied` trace records into the shadow model.
+  // Called at every point, in point order, replayed or not.
+  virtual void Advance(uint64_t applied) = 0;
+  // Recovers a fresh stack over the crashed member disks (disks[m] holds member m's image at
+  // `point`, on a fresh clock) and records recovery and invariant results in `report`.
+  virtual void RecoverAndCheck(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+                               CrashSweepReport& report) = 0;
+};
 
-// Invariant 3 on one recovered VLD: every mapped physical block is in range, live in the
-// free-space map, and mapped by no other logical block. Returns the first violation found
-// (nullopt when there is none). `mapped` receives the number of mapped logical blocks examined,
-// the violating one included; invariant 4 compares that count against the live blocks.
-std::optional<std::string> MapInvariantViolation(const core::Vld& vld, uint64_t& mapped);
+// Sweeps every crash point of `trace` over trace.bases().size() member disks built from
+// `params`. `make_hooks` is called once per ordinal range (from that range's worker thread).
+CrashSweepReport SweepCrashPoints(
+    const WriteTrace& trace, const simdisk::DiskParams& params, const CrashSweepOptions& options,
+    const std::function<std::unique_ptr<SweepHooks>()>& make_hooks);
 
-// Resolves CrashSweepOptions.workers: 0 means hardware concurrency, and the result is clamped
-// to [1, points] (a shard with no points would be pure overhead).
-uint32_t ResolveSweepWorkers(uint32_t requested, size_t points);
+// Records `disks` into `trace` for as long as it lives: snapshots each member's media as its
+// base image, then appends every media write tagged with the member index and marks a barrier at
+// every completed flush. Detaches its observers when destroyed.
+class MediaRecorder {
+ public:
+  MediaRecorder(WriteTrace& trace, std::vector<simdisk::SimDisk*> disks);
+  ~MediaRecorder();
+  MediaRecorder(const MediaRecorder&) = delete;
+  MediaRecorder& operator=(const MediaRecorder&) = delete;
 
-// Runs `sweep_range(begin, end)` over `workers` contiguous ordinal ranges covering
-// [0, points), one range per thread, and merges the per-range reports in range order. Every
-// crash point's variant seed, ordinal, and image are fixed at enumeration time and each range
-// rebuilds its own rolling state from the trace base, so the merged report — counters,
-// violation details, recovery times, Summary() text — is byte-identical to a single serial
-// range at any worker count.
-CrashSweepReport RunShardedSweep(
-    size_t points, uint64_t seed, const CrashSweepOptions& options,
-    const std::function<CrashSweepReport(size_t, size_t)>& sweep_range);
+ private:
+  std::vector<simdisk::SimDisk*> disks_;
+};
+
+// Does `got` equal `expect`, where an empty `expect` means all zeros?
+bool ContentMatches(std::span<const std::byte> got, const std::vector<std::byte>& expect);
+
+// Invariants 3 and 4 on one recovered VLD, each reported on its own. 3: every mapped physical
+// block is in range, live in the free-space map, and mapped by no other logical block (the
+// first violation found). 4: the live-block count equals the mapped blocks examined by check 3
+// plus the map blocks.
+std::vector<std::string> VldMapViolations(const core::Vld& vld);
 
 // Device-level harness: a workload drives a ShadowVld; the sweep replays its media history.
 class VldCrashSim {
@@ -135,10 +166,7 @@ class VldCrashSim {
   const std::vector<ShadowVld::Op>& ops() const { return ops_; }
 
  private:
-  // The serial sweep over points[begin, end): rebuilds its rolling state from the trace base
-  // (the first iteration's catch-up loop), so ranges are independent and thread-safe.
-  CrashSweepReport SweepRange(const std::vector<CrashPoint>& points, size_t begin, size_t end,
-                              const CrashSweepOptions& options) const;
+  class Hooks;  // The sweep engine's hooks for this stack (harness.cc).
 
   simdisk::DiskParams params_;
   core::VldConfig config_;
@@ -176,13 +204,11 @@ class VlfsCrashSim {
   const WriteTrace& trace() const { return trace_; }
 
  private:
+  class Hooks;  // The sweep engine's hooks for this stack (harness.cc).
   struct FileState {
     bool is_dir = false;
     std::vector<std::byte> content;
   };
-
-  CrashSweepReport SweepRange(const std::vector<CrashPoint>& points, size_t begin, size_t end,
-                              const CrashSweepOptions& options) const;
   // One committed namespace transition: `path` went from `before` to `after` (nullopt =
   // absent) at trace position end_writes. Ops with no namespace effect have an empty path.
   struct FsOpRecord {

@@ -25,6 +25,19 @@ std::vector<std::byte> Pattern(uint32_t block, uint32_t version, size_t bytes = 
   return data;
 }
 
+// One queued batch writing Pattern(b, version) to each added block b. The writes view the
+// payloads, whose byte buffers stay put when the vector grows.
+struct Batch {
+  std::vector<std::vector<std::byte>> payloads;
+  std::vector<core::Vld::AtomicWrite> writes;
+
+  void Add(uint32_t block, uint32_t version) {
+    payloads.push_back(Pattern(block, version));
+    writes.push_back(
+        core::Vld::AtomicWrite{static_cast<simdisk::Lba>(block) * kBlockSectors, payloads.back()});
+  }
+};
+
 common::Status UfsOnVldWorkload(ShadowVld& dev) {
   simdisk::HostModel host(simdisk::ZeroCostHost(), dev.vld().disk().clock());
   ufs::Ufs fs(&dev, &host, ufs::UfsConfig{.blocks_per_cg = 64, .cache_blocks = 32});
@@ -111,17 +124,11 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
   uint32_t version = 2;
   for (int round = 0; round < 6; ++round) {
     const size_t depth = 1 + rng.Below(6);
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(depth);
-    std::vector<core::Vld::AtomicWrite> writes;
-    writes.reserve(depth);
+    Batch batch;
     for (size_t i = 0; i < depth; ++i) {
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(static_cast<uint32_t>(rng.Below(blocks)), version);
     }
-    RETURN_IF_ERROR(dev.WriteQueuedBatch(writes));
+    RETURN_IF_ERROR(dev.WriteQueuedBatch(batch.writes));
     ++version;
     // Alternate trough-shaped grants (idle hint: the whole gap) with credit-shaped ones, the
     // two grant paths the governor exposes; route the burst through the shadow so its media
@@ -192,37 +199,25 @@ common::Status QueuedGroupCommitWorkload(ShadowVld& dev) {
   uint32_t version = 2;
   for (int round = 0; round < 6; ++round) {
     const size_t depth = 1 + rng.Below(8);
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(depth);
-    std::vector<core::Vld::AtomicWrite> writes;
-    writes.reserve(depth);
+    Batch batch;
     for (size_t i = 0; i < depth; ++i) {
       // Random updates over the whole logical space so one batch's map entries usually span
       // several pieces — that is what makes the packed commit a multi-sector (tearable) write.
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(static_cast<uint32_t>(rng.Below(blocks)), version);
     }
-    RETURN_IF_ERROR(dev.WriteQueuedBatch(writes));
+    RETURN_IF_ERROR(dev.WriteQueuedBatch(batch.writes));
     ++version;
   }
   // A trim and one more deep batch, then park so the sweep also covers tail recoveries over
   // packed blocks.
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(4) * kBlockSectors));
-  {
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    for (uint32_t i = 0; i < 12; ++i) {
-      // Stride the deep batch across the logical space: 12 updates in 12 different pieces,
-      // guaranteeing the packed commit spans multiple physical blocks.
-      const uint32_t b = (i * (blocks / 12)) % blocks;
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
-    }
-    RETURN_IF_ERROR(dev.WriteQueuedBatch(writes));
+  Batch deep;
+  for (uint32_t i = 0; i < 12; ++i) {
+    // Stride the deep batch across the logical space: 12 updates in 12 different pieces,
+    // guaranteeing the packed commit spans multiple physical blocks.
+    deep.Add((i * (blocks / 12)) % blocks, version);
   }
+  RETURN_IF_ERROR(dev.WriteQueuedBatch(deep.writes));
   return dev.Park();
 }
 
@@ -239,20 +234,14 @@ common::Status QueuedMixedReadWriteWorkload(ShadowVld& dev) {
     // every other slot (a guaranteed same-batch RAW that must be served from the pending
     // payload), otherwise a random block — occasionally unmapped, which must read as zeros.
     const size_t depth = 2 + rng.Below(6);  // depth writes + depth reads <= queue_depth 16.
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(depth);
-    std::vector<core::Vld::AtomicWrite> writes;
-    writes.reserve(depth);
+    Batch batch;
     std::vector<uint32_t> read_blocks;
-    read_blocks.reserve(depth);
     for (size_t i = 0; i < depth; ++i) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(b, version);
       read_blocks.push_back(i % 2 == 0 ? b : static_cast<uint32_t>(rng.Below(blocks)));
     }
-    RETURN_IF_ERROR(dev.QueuedMixedBatch(writes, read_blocks));
+    RETURN_IF_ERROR(dev.QueuedMixedBatch(batch.writes, read_blocks));
     ++version;
   }
   // A read-only batch: commits nothing, and QueuedMixedBatch fails the recording if it emits
@@ -267,20 +256,30 @@ common::Status QueuedMixedReadWriteWorkload(ShadowVld& dev) {
   // Trim then mix reads of the trimmed (now unmapped) blocks with fresh writes, and park so
   // the sweep covers tail recoveries too.
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(4) * kBlockSectors));
-  {
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    std::vector<uint32_t> read_blocks;
-    for (uint32_t i = 0; i < 6; ++i) {
-      const uint32_t b = 8 + i * (blocks / 8) % (blocks - 8);
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
-      read_blocks.push_back(i < 4 ? i : b);  // Blocks 0..3 were just trimmed: expect zeros.
-    }
-    RETURN_IF_ERROR(dev.QueuedMixedBatch(writes, read_blocks));
+  Batch batch;
+  std::vector<uint32_t> read_blocks;
+  for (uint32_t i = 0; i < 6; ++i) {
+    const uint32_t b = 8 + i * (blocks / 8) % (blocks - 8);
+    batch.Add(b, version);
+    read_blocks.push_back(i < 4 ? i : b);  // Blocks 0..3 were just trimmed: expect zeros.
   }
+  RETURN_IF_ERROR(dev.QueuedMixedBatch(batch.writes, read_blocks));
   return dev.Park();
+}
+
+// A queued batch of `depth` distinct random blocks over the whole array space at `version`, so
+// one batch usually lands runs on both members and on several map pieces per member.
+Batch DistinctRandomBatch(common::Rng& rng, uint32_t blocks, size_t depth, uint32_t version) {
+  Batch batch;
+  std::vector<uint32_t> chosen;
+  while (chosen.size() < depth) {
+    const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
+    if (std::find(chosen.begin(), chosen.end(), b) == chosen.end()) {
+      chosen.push_back(b);
+      batch.Add(b, version);
+    }
+  }
+  return batch;
 }
 
 // Striped array: base fill, then queued multi-block batches whose blocks scatter across both
@@ -288,33 +287,13 @@ common::Status QueuedMixedReadWriteWorkload(ShadowVld& dev) {
 // sync overwrite and record-time read checks. No park, so every recovery scans.
 common::Status StripedArrayWorkload(ArrayCrashSim::Workload& w) {
   const uint32_t blocks = w.array_blocks();
-  const uint32_t block_sectors = w.block_sectors();
   for (uint32_t b = 0; b < 12; ++b) {
     RETURN_IF_ERROR(w.WriteBlock(b, Pattern(b, 1)));
   }
   common::Rng rng(17);
-  uint32_t version = 2;
-  for (int round = 0; round < 4; ++round) {
+  for (uint32_t version = 2; version < 6; ++version) {
     const size_t depth = 2 + rng.Below(5);
-    std::vector<uint32_t> chosen;
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    payloads.reserve(depth);
-    writes.reserve(depth);
-    while (chosen.size() < depth) {
-      // Unique random blocks over the whole array space, so one batch usually lands runs on
-      // both members and on several map pieces per member.
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      if (std::find(chosen.begin(), chosen.end(), b) != chosen.end()) {
-        continue;
-      }
-      chosen.push_back(b);
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * block_sectors,
-                                              payloads.back()});
-    }
-    RETURN_IF_ERROR(w.QueuedBatch(writes));
-    ++version;
+    RETURN_IF_ERROR(w.QueuedBatch(DistinctRandomBatch(rng, blocks, depth, version).writes));
   }
   RETURN_IF_ERROR(w.WriteBlock(3, Pattern(3, 90)));
   RETURN_IF_ERROR(w.ReadVerify(0));
@@ -325,31 +304,13 @@ common::Status StripedArrayWorkload(ArrayCrashSim::Workload& w) {
 // member commits leave one replica ahead, which stitched recovery must resync.
 common::Status MirroredArrayWorkload(ArrayCrashSim::Workload& w) {
   const uint32_t blocks = w.array_blocks();
-  const uint32_t block_sectors = w.block_sectors();
   for (uint32_t b = 0; b < 8; ++b) {
     RETURN_IF_ERROR(w.WriteBlock(b, Pattern(b, 1)));
   }
   common::Rng rng(23);
-  uint32_t version = 2;
-  for (int round = 0; round < 3; ++round) {
+  for (uint32_t version = 2; version < 5; ++version) {
     const size_t depth = 2 + rng.Below(3);
-    std::vector<uint32_t> chosen;
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    payloads.reserve(depth);
-    writes.reserve(depth);
-    while (chosen.size() < depth) {
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      if (std::find(chosen.begin(), chosen.end(), b) != chosen.end()) {
-        continue;
-      }
-      chosen.push_back(b);
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * block_sectors,
-                                              payloads.back()});
-    }
-    RETURN_IF_ERROR(w.QueuedBatch(writes));
-    ++version;
+    RETURN_IF_ERROR(w.QueuedBatch(DistinctRandomBatch(rng, blocks, depth, version).writes));
   }
   // Overwrite a base block (the resync-relevant case: a lagging replica must roll forward to
   // this version, not back to version 1) and a fresh block.
@@ -425,20 +386,15 @@ common::Status NvmStagedWritesWorkload(ShadowVld& dev) {
   }
   // A queued mixed batch whose submits and reads cross staged blocks (submit-time conflict
   // destages), group-committed through the stage's passthrough.
-  {
-    ++version;
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    std::vector<uint32_t> read_blocks;
-    for (uint32_t i = 0; i < 4; ++i) {
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
-      read_blocks.push_back(i % 2 == 0 ? b : static_cast<uint32_t>(rng.Below(blocks)));
-    }
-    RETURN_IF_ERROR(dev.QueuedMixedBatch(writes, read_blocks));
+  ++version;
+  Batch batch;
+  std::vector<uint32_t> read_blocks;
+  for (uint32_t i = 0; i < 4; ++i) {
+    const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
+    batch.Add(b, version);
+    read_blocks.push_back(i % 2 == 0 ? b : static_cast<uint32_t>(rng.Below(blocks)));
   }
+  RETURN_IF_ERROR(dev.QueuedMixedBatch(batch.writes, read_blocks));
   RETURN_IF_ERROR(dev.DrainStage());
   // Staged residue: acked writes whose only copy is the NVM log when the trace ends. No park,
   // no drain — the sweep's tail points must replay them.

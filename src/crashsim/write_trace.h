@@ -28,8 +28,8 @@ struct WriteRecord {
   // heap payload per write.
   std::span<const std::byte> data;
   bool durable = true;
-  // Which member disk committed the write. 0 for single-disk traces; an array sweep replays
-  // each record onto images[disk]. Barrier-delimited epochs still work globally because every
+  // Which member disk committed the write. 0 for single-disk traces; a sweep replays each
+  // record onto that member's image. Barrier-delimited epochs still work globally because every
   // member drains its own cache at each commit, so an epoch only ever holds one member's
   // volatile writes.
   uint32_t disk = 0;
@@ -39,8 +39,19 @@ struct WriteRecord {
 
 class WriteTrace {
  public:
-  void set_base(std::vector<std::byte> image) { base_ = std::move(image); }
-  const std::vector<std::byte>& base() const { return base_; }
+  // The media image of each member disk when recording started: one for a single-disk trace,
+  // one per member for an array (a record tagged `disk` replays onto bases()[disk]). base() is
+  // the first member's, or an empty image before anything was recorded.
+  void set_base(std::vector<std::byte> image) {
+    bases_.clear();
+    bases_.push_back(std::move(image));
+  }
+  void set_bases(std::vector<std::vector<std::byte>> images) { bases_ = std::move(images); }
+  const std::vector<std::byte>& base() const {
+    static const std::vector<std::byte> kUnrecorded;
+    return bases_.empty() ? kUnrecorded : bases_.front();
+  }
+  const std::vector<std::vector<std::byte>>& bases() const { return bases_; }
 
   void Append(simdisk::Lba lba, std::span<const std::byte> data, bool durable = true,
               uint32_t disk = 0) {
@@ -79,7 +90,7 @@ class WriteTrace {
   // lifetime; payloads larger than a chunk get a dedicated chunk.
   std::span<const std::byte> ArenaCopy(std::span<const std::byte> data);
 
-  std::vector<std::byte> base_;
+  std::vector<std::vector<std::byte>> bases_;
   std::vector<WriteRecord> records_;
   std::vector<uint64_t> barriers_;
   std::vector<std::unique_ptr<std::byte[]>> arena_;

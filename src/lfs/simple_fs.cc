@@ -177,7 +177,9 @@ void SimpleFs::FreeBlock(uint32_t lblock) {
   block_used_[lblock] = false;
   ++free_blocks_;
   cache_.erase(lblock);          // Cancel any delayed write.
-  (void)disk_->TrimBlock(lblock);  // Delete hint so the cleaner can reclaim the space.
+  if (!disk_->TrimBlock(lblock).ok()) {  // Delete hint so the cleaner can reclaim the space.
+    ++stats_.trim_failures;
+  }
 }
 
 common::StatusOr<uint32_t> SimpleFs::AllocInodeNumber() {
@@ -607,6 +609,15 @@ common::Status SimpleFs::FlushDuringIdle(common::Time deadline, common::Clock* c
     RETURN_IF_ERROR(FlushBlock(block, cache_[block]));
   }
   return common::OkStatus();
+}
+
+void SimpleFs::RunIdle(common::Time deadline, common::Clock* clock) {
+  if (!FlushDuringIdle(deadline, clock).ok()) {
+    ++stats_.idle_flush_failures;
+  }
+  if (clock->Now() < deadline && !disk_->CleanDuringIdle(deadline, clock).ok()) {
+    ++stats_.idle_clean_failures;
+  }
 }
 
 common::Status SimpleFs::DropCaches() {

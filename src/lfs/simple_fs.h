@@ -34,6 +34,11 @@ struct SimpleFsStats {
   uint64_t cache_misses = 0;
   uint64_t evictions = 0;
   uint64_t sync_writes = 0;
+  // Best-effort work whose failure is counted rather than returned: delete hints (TrimBlock)
+  // for freed blocks, and RunIdle's buffer flush and segment cleaning.
+  uint64_t trim_failures = 0;
+  uint64_t idle_flush_failures = 0;
+  uint64_t idle_clean_failures = 0;
 };
 
 class SimpleFs : public fs::FileSystem {
@@ -58,6 +63,10 @@ class SimpleFs : public fs::FileSystem {
   // until `deadline`. Unlike Sync(), it never overruns the idle budget by more than one
   // segment write, which is what Figure 10's idle-interval sweep measures.
   common::Status FlushDuringIdle(common::Time deadline, common::Clock* clock);
+  // One idle interval for the whole LFS stack: FlushDuringIdle, then the log disk's
+  // CleanDuringIdle, both bounded by `deadline`. A failure of either is counted in stats()
+  // and the interval goes on.
+  void RunIdle(common::Time deadline, common::Clock* clock);
   uint64_t DirtyBlocks() const;
 
   double Utilization() const;

@@ -701,12 +701,29 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
   info.from_checkpoint = recovered.from_checkpoint;
   info.log_sectors_read = recovered.sectors_read;
   info.discarded_txn_sectors = recovered.discarded_txn_sectors;
+  // A CRC-valid map sector or an inode is still untrusted input: a block past the disk or on a
+  // system block would index owner_ out of range or corrupt the free-space map, so recovery
+  // refuses the image instead (as Vld::Recover does).
+  const auto usable = [&](uint32_t block) {
+    return block < space_.total_blocks() && space_.state(block) != core::BlockState::kSystem;
+  };
+  const auto invalid = [](const std::string& what, uint32_t block) {
+    return common::Corruption("Vlfs::Recover: " + what + " points at invalid physical block " +
+                              std::to_string(block));
+  };
+  const auto invalid_pointer = [&](uint32_t ino, const std::string& what, uint32_t block) {
+    return invalid("inode " + std::to_string(ino) + " " + what, block);
+  };
   for (uint32_t piece = 0; piece < recovered.pieces.size(); ++piece) {
     const auto& entries = recovered.pieces[piece];
     for (uint32_t i = 0; i < entries.size(); ++i) {
       const uint32_t iblock = piece * core::kEntriesPerSector + i;
       if (iblock >= config_.inode_blocks || entries[i] == core::kUnmappedBlock) {
         continue;
+      }
+      // Two inode blocks sharing one physical block would alias each other's inodes.
+      if (!usable(entries[i]) || owner_[entries[i]] != kOwnerNone) {
+        return invalid("inode block " + std::to_string(iblock), entries[i]);
       }
       inode_map_[iblock] = entries[i];
       space_.MarkLive(entries[i]);
@@ -747,6 +764,9 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
       const uint64_t blocks = (inode.size + kBlockBytes - 1) / kBlockBytes;
       for (uint64_t fbi = 0; fbi < std::min<uint64_t>(blocks, kDirectPtrs); ++fbi) {
         if (inode.direct[fbi] != kNoAddr) {
+          if (!usable(inode.direct[fbi])) {
+            return invalid_pointer(ino, "direct pointer " + std::to_string(fbi), inode.direct[fbi]);
+          }
           space_.MarkLive(inode.direct[fbi]);
           owner_[inode.direct[fbi]] =
               kOwnerData | (static_cast<uint64_t>(ino) << 32) | fbi;
@@ -754,6 +774,9 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
         }
       }
       if (inode.indirect != kNoAddr) {
+        if (!usable(inode.indirect)) {
+          return invalid_pointer(ino, "indirect pointer", inode.indirect);
+        }
         space_.MarkLive(inode.indirect);
         owner_[inode.indirect] =
             kOwnerData | (static_cast<uint64_t>(ino) << 32) | kIndirectFbi;
@@ -764,6 +787,9 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
           const uint32_t phys =
               common::LoadLe<uint32_t>(table, (fbi - kDirectPtrs) * 4);
           if (phys != kNoAddr) {
+            if (!usable(phys)) {
+              return invalid_pointer(ino, "indirect entry " + std::to_string(fbi), phys);
+            }
             space_.MarkLive(phys);
             owner_[phys] = kOwnerData | (static_cast<uint64_t>(ino) << 32) | fbi;
             ++info.live_blocks;

@@ -107,11 +107,8 @@ void Platform::RunIdle(common::Duration budget) {
   const common::Time deadline = clock_.Now() + budget;
   if (simple_fs_ != nullptr) {
     // LFS idle work: push dirty buffers out (filling segments), then clean ahead. Both are
-    // bounded by the idle budget.
-    (void)simple_fs_->FlushDuringIdle(deadline, &clock_);
-    if (clock_.Now() < deadline) {
-      (void)lld_->CleanDuringIdle(deadline, &clock_);
-    }
+    // bounded by the idle budget; failures are counted in SimpleFsStats.
+    simple_fs_->RunIdle(deadline, &clock_);
   }
   if (vld_ != nullptr && clock_.Now() < deadline) {
     vld_->RunIdle(deadline - clock_.Now());

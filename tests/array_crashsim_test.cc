@@ -4,8 +4,6 @@
 // atomicity, mirrored replica resync) at every point.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <set>
 #include <string>
@@ -16,26 +14,15 @@
 #include "src/crashsim/harness.h"
 #include "src/crashsim/scenarios.h"
 #include "src/crashsim/write_trace.h"
+#include "tests/sweep_test_support.h"
 
 namespace vlog::crashsim {
 
-// Base seed for the randomized sweep parts, and the optional single-ordinal replay — both
-// overridable from the command line so the Summary() banner's replay command works verbatim:
+// The replay command a failing Summary() prints works verbatim here (the shared main in
+// sweep_test_support.cc parses it):
 //   array_crashsim_test --seed=N --point=K
-uint64_t g_sweep_seed = 1;
-int64_t g_sweep_point = -1;
-
+// Every sweep also pins its Summary() in tests/golden/crash_sweep_summaries.txt.
 namespace {
-
-bool Replaying() { return g_sweep_point >= 0; }
-
-CrashSweepOptions SeededSweepOptions() {
-  CrashSweepOptions options;
-  options.enumerate.seed = g_sweep_seed;
-  options.reorder.seed = g_sweep_seed;
-  options.only_ordinal = g_sweep_point;
-  return options;
-}
 
 // Striped, write-through members: torn/corrupt points cut inside individual member commits,
 // including the packed group-commit map writes a cross-disk batch produces on each member.
@@ -53,6 +40,7 @@ TEST(ArrayCrashSweepTest, StripedGroupCommitHasNoViolations) {
 
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ array ] striped: " << report.Summary() << "\n";
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 100u) << report.Summary();
   EXPECT_GE(report.torn_points, 20u) << report.Summary();
@@ -73,6 +61,7 @@ TEST(ArrayCrashSweepTest, StripedCachedDestageHasNoViolations) {
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ array ] striped-cached: " << report.Summary() << "\n";
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.reorder_points, 50u) << report.Summary();
 }
@@ -87,6 +76,7 @@ TEST(ArrayCrashSweepTest, MirroredResyncHasNoViolations) {
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ array ] mirrored: " << report.Summary() << "\n";
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 100u) << report.Summary();
   EXPECT_GE(report.reorder_points, 30u) << report.Summary();
@@ -116,6 +106,7 @@ TEST(ArrayCrashSweepTest, OnlyOrdinalReplaysSinglePoint) {
   CrashSweepOptions options = SeededSweepOptions();
   options.only_ordinal = 3;
   const CrashSweepReport report = sim.Sweep(options);
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 100u);
   EXPECT_EQ(report.recovery_times.size(), 1u) << "replay must recover exactly one point";
@@ -123,17 +114,3 @@ TEST(ArrayCrashSweepTest, OnlyOrdinalReplaysSinglePoint) {
 
 }  // namespace
 }  // namespace vlog::crashsim
-
-// Custom main so a sweep failure is replayable with the exact command its Summary() prints:
-// --seed=N reproduces the point list, --point=K narrows the sweep to the violating ordinal.
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      vlog::crashsim::g_sweep_seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--point=", 8) == 0) {
-      vlog::crashsim::g_sweep_point = std::strtoll(argv[i] + 8, nullptr, 10);
-    }
-  }
-  return RUN_ALL_TESTS();
-}

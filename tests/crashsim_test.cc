@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -12,26 +11,18 @@
 
 #include "src/common/status.h"
 #include "src/core/vld.h"
+#include "src/crashsim/array_harness.h"
 #include "src/crashsim/crash_point.h"
 #include "src/crashsim/harness.h"
 #include "src/crashsim/scenarios.h"
 #include "src/crashsim/write_trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
+#include "tests/sweep_test_support.h"
 
 namespace vlog::crashsim {
 
-// Base seed for the randomized parts of the sweeps (reorder sampling and torn/corrupt variant
-// choice) and the optional single-ordinal replay. Overridable with --seed=N --point=K — the
-// exact command a failing report's Summary() prints — so a violation replays exactly.
-uint64_t g_sweep_seed = 1;
-int64_t g_sweep_point = -1;
-
 namespace {
-
-// In --point=K replay mode only one crash point is recovered and checked, so per-recovery
-// counters (park/scan/checkpoint tallies) lose their usual floors.
-bool Replaying() { return g_sweep_point >= 0; }
 
 constexpr uint32_t kSectorBytes = 512;
 constexpr uint32_t kBlockSectors = 8;
@@ -282,19 +273,33 @@ TEST(ReorderPointTest, DurableWritesPersistInEveryOrdering) {
 // with zero invariant violations.
 // ---------------------------------------------------------------------------
 
-CrashSweepOptions SeededSweepOptions() {
-  CrashSweepOptions options;
-  options.enumerate.seed = g_sweep_seed;
-  options.reorder.seed = g_sweep_seed;
-  options.only_ordinal = g_sweep_point;
-  return options;
+// A sim whose Record() never ran has no member images: its sweep reports one violation instead
+// of recovering over disks that were never snapshotted.
+TEST(CrashSweepTest, UnrecordedSimReportsAViolation) {
+  const VldCrashSim vld(CrashSimDiskParams(), CrashSimVldConfig());
+  const VlfsCrashSim vlfs(CrashSimDiskParams(), CrashSimVlfsConfig());
+  const ArrayCrashSim array(CrashSimDiskParams(), CrashSimVldConfig(),
+                            CrashSimStripedArrayConfig(), /*member_count=*/2);
+  EXPECT_TRUE(vld.trace().base().empty());
+  for (const CrashSweepReport& report : {vld.Sweep(CrashSweepOptions{}),
+                                         vlfs.Sweep(CrashSweepOptions{}),
+                                         array.Sweep(CrashSweepOptions{})}) {
+    EXPECT_EQ(report.points, 0u);
+    EXPECT_EQ(report.violations, 1u);
+    ASSERT_EQ(report.violation_details.size(), 1u);
+    EXPECT_NE(report.violation_details[0].find("no recorded trace"), std::string::npos)
+        << report.Summary();
+  }
 }
 
+// Every scenario sweep below also pins its Summary() in tests/golden/crash_sweep_summaries.txt.
 CrashSweepReport SweepVldScenario(VldScenario scenario) {
   VldCrashSim sim(CrashSimDiskParams(), CrashSimVldConfig());
   const common::Status recorded = RecordVldScenario(scenario, sim);
   EXPECT_TRUE(recorded.ok()) << recorded.ToString();
-  return sim.Sweep(SeededSweepOptions());
+  const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
+  ExpectGoldenSummary(report);
+  return report;
 }
 
 TEST(CrashSweepTest, UfsOnVldScenarioHasNoViolations) {
@@ -395,6 +400,7 @@ TEST(CrashSweepTest, QueuedMixedReadWriteScenarioHasNoViolations) {
   const common::Status recorded = RecordVldScenario(VldScenario::kQueuedMixedReadWrite, sim);
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 150u) << report.Summary();
   EXPECT_GE(report.torn_points, 30u) << report.Summary();
@@ -418,6 +424,7 @@ TEST(CrashSweepTest, VlfsScenarioHasNoViolations) {
   const common::Status recorded = sim.Record(VlfsScenarioScript());
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 100u) << report.Summary();
   EXPECT_GE(report.torn_points, 20u) << report.Summary();
@@ -437,6 +444,7 @@ CrashSweepReport SweepCachedVldScenario(VldScenario scenario) {
   EXPECT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ reorder ] " << VldScenarioName(scenario) << ": " << report.Summary() << "\n";
+  ExpectGoldenSummary(report);
   return report;
 }
 
@@ -492,6 +500,7 @@ TEST(ReorderSweepTest, VlfsScenarioHasNoViolations) {
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ reorder ] vlfs: " << report.Summary() << "\n";
+  ExpectGoldenSummary(report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.reorder_points, 100u) << report.Summary();
 }
@@ -508,6 +517,7 @@ TEST(ReorderSweepTest, SweepDetectsMissingBarriers) {
   VldCrashSim sim(CrashSimCachedDiskParams(), config);
   ASSERT_TRUE(RecordVldScenario(VldScenario::kCheckpointInterrupted, sim).ok());
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
+  ExpectGoldenSummary(report);
   EXPECT_GT(report.reorder_points, 0u) << report.Summary();
   EXPECT_GT(report.violations, 0u)
       << "a barrier-less device on a write-back cache must fail the reorder sweep\n"
@@ -531,7 +541,9 @@ CrashSweepReport SweepStagedVldScenario(VldScenario scenario, bool cached = fals
   sim.EnableStage(CrashSimNvmStageConfig(), CrashSimNvmParams());
   const common::Status recorded = RecordVldScenario(scenario, sim);
   EXPECT_TRUE(recorded.ok()) << recorded.ToString();
-  return sim.Sweep(SeededSweepOptions());
+  const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
+  ExpectGoldenSummary(report);
+  return report;
 }
 
 // The stage-focused scenario: staged bursts, conflict-inducing direct writes and trims,
@@ -653,6 +665,21 @@ void ExpectIdenticalReports(const CrashSweepReport& serial, const CrashSweepRepo
   EXPECT_EQ(serial.Summary(), sharded.Summary()) << "workers=" << workers;
 }
 
+// Sweeps `sim` serially, pins the serial Summary(), and expects byte-identical reports at 2
+// and 8 workers. Returns the serial report.
+template <typename Sim>
+CrashSweepReport ExpectWorkerCountInvisible(const Sim& sim) {
+  CrashSweepOptions options = SeededSweepOptions();
+  options.workers = 1;
+  const CrashSweepReport serial = sim.Sweep(options);
+  ExpectGoldenSummary(serial);
+  for (const uint32_t workers : {2u, 8u}) {
+    options.workers = workers;
+    ExpectIdenticalReports(serial, sim.Sweep(options), workers);
+  }
+  return serial;
+}
+
 TEST(ParallelSweepTest, WorkerCountIsInvisibleInTheReport) {
   if (Replaying()) {
     GTEST_SKIP() << "determinism comparison needs the full point sweep, not a --point replay";
@@ -661,15 +688,9 @@ TEST(ParallelSweepTest, WorkerCountIsInvisibleInTheReport) {
   // per-point seeding is easiest to get wrong under sharding.
   VldCrashSim sim(CrashSimCachedDiskParams(), CrashSimVldConfig());
   ASSERT_TRUE(RecordVldScenario(VldScenario::kQueuedGroupCommit, sim).ok());
-  CrashSweepOptions options = SeededSweepOptions();
-  options.workers = 1;
-  const CrashSweepReport serial = sim.Sweep(options);
+  const CrashSweepReport serial = ExpectWorkerCountInvisible(sim);
   ASSERT_GT(serial.points, 100u) << serial.Summary();
   EXPECT_TRUE(serial.ok()) << serial.Summary();
-  for (const uint32_t workers : {2u, 8u}) {
-    options.workers = workers;
-    ExpectIdenticalReports(serial, sim.Sweep(options), workers);
-  }
 }
 
 TEST(ParallelSweepTest, WorkerCountIsInvisibleWhenViolationsFire) {
@@ -683,14 +704,8 @@ TEST(ParallelSweepTest, WorkerCountIsInvisibleWhenViolationsFire) {
   config.barriers = false;
   VldCrashSim sim(CrashSimCachedDiskParams(), config);
   ASSERT_TRUE(RecordVldScenario(VldScenario::kCheckpointInterrupted, sim).ok());
-  CrashSweepOptions options = SeededSweepOptions();
-  options.workers = 1;
-  const CrashSweepReport serial = sim.Sweep(options);
+  const CrashSweepReport serial = ExpectWorkerCountInvisible(sim);
   ASSERT_GT(serial.violations, 0u) << serial.Summary();
-  for (const uint32_t workers : {2u, 8u}) {
-    options.workers = workers;
-    ExpectIdenticalReports(serial, sim.Sweep(options), workers);
-  }
 }
 
 // Sharding must stay invisible with the staged matrices in play too: the rolling NVM image
@@ -703,15 +718,36 @@ TEST(ParallelSweepTest, WorkerCountIsInvisibleInStagedReports) {
   VldCrashSim sim(CrashSimDiskParams(), CrashSimVldConfig());
   sim.EnableStage(CrashSimNvmStageConfig(), CrashSimNvmParams());
   ASSERT_TRUE(RecordVldScenario(VldScenario::kNvmStagedWrites, sim).ok());
-  CrashSweepOptions options = SeededSweepOptions();
-  options.workers = 1;
-  const CrashSweepReport serial = sim.Sweep(options);
+  const CrashSweepReport serial = ExpectWorkerCountInvisible(sim);
   EXPECT_TRUE(serial.ok()) << serial.Summary();
   ASSERT_GT(serial.nvm_torn_points, 0u) << serial.Summary();
-  for (const uint32_t workers : {2u, 8u}) {
-    options.workers = workers;
-    ExpectIdenticalReports(serial, sim.Sweep(options), workers);
+}
+
+// The file-system sweep's per-range state (the committed namespace shadow) must shard as
+// invisibly as the device sweep's. Cached disk for reorder points.
+TEST(ParallelSweepTest, WorkerCountIsInvisibleInVlfsReports) {
+  if (Replaying()) {
+    GTEST_SKIP() << "determinism comparison needs the full point sweep, not a --point replay";
   }
+  VlfsCrashSim sim(CrashSimCachedDiskParams(), CrashSimVlfsConfig());
+  ASSERT_TRUE(sim.Record(VlfsScenarioScript()).ok());
+  const CrashSweepReport serial = ExpectWorkerCountInvisible(sim);
+  EXPECT_TRUE(serial.ok()) << serial.Summary();
+  EXPECT_GT(serial.reorder_points, 0u) << serial.Summary();
+}
+
+// The array sweep keeps one rolling image and one scratch image per member; each shard must
+// rebuild all of them from the per-member bases. Cached members for reorder points.
+TEST(ParallelSweepTest, WorkerCountIsInvisibleInArrayReports) {
+  if (Replaying()) {
+    GTEST_SKIP() << "determinism comparison needs the full point sweep, not a --point replay";
+  }
+  ArrayCrashSim sim(CrashSimCachedDiskParams(), CrashSimVldConfig(),
+                    CrashSimStripedArrayConfig(), /*member_count=*/2);
+  ASSERT_TRUE(RecordArrayScenario(ArrayScenario::kStripedGroupCommit, sim).ok());
+  const CrashSweepReport serial = ExpectWorkerCountInvisible(sim);
+  EXPECT_TRUE(serial.ok()) << serial.Summary();
+  EXPECT_GT(serial.reorder_points, 0u) << serial.Summary();
 }
 
 // ---------------------------------------------------------------------------
@@ -891,17 +927,3 @@ TEST_F(CrashRecoveryTest, TornSecondCheckpointFallsBackToPreviousState) {
 
 }  // namespace
 }  // namespace vlog::crashsim
-
-// Custom main so a sweep failure is replayable: rerun with the --seed=N echoed in the failing
-// report's summary.
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      vlog::crashsim::g_sweep_seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--point=", 8) == 0) {
-      vlog::crashsim::g_sweep_point = std::strtoll(argv[i] + 8, nullptr, 10);
-    }
-  }
-  return RUN_ALL_TESTS();
-}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -208,6 +209,43 @@ TEST_F(SimpleFsTest, SurvivesDropCaches) {
   std::vector<std::byte> out(data.size());
   ASSERT_TRUE(fs_.Read("/d", 0, out).ok());
   EXPECT_EQ(out, data);
+}
+
+// RunIdle's write-back and cleaning passes are best effort, so their failures are counted in
+// SimpleFsStats rather than returned. With the disk failing every write, both passes fail: the
+// flush seals a full segment of dirty buffers, and the cleaner, with free segments below its
+// target, copies live blocks out of the half-dead segments left by the removed files.
+TEST_F(SimpleFsTest, FailedIdleFlushAndCleanAreCounted) {
+  constexpr size_t kFileBytes = 127 * 4096;  // One segment's worth of data blocks.
+  constexpr size_t kChunk = 16 * 4096;
+  constexpr int kFiles = 18;
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(fs_.Create("/f" + std::to_string(i)).ok());
+  }
+  // Interleaved chunks, so every segment holds blocks of several files.
+  for (size_t off = 0; off < kFileBytes; off += kChunk) {
+    for (int i = 0; i < kFiles; ++i) {
+      const size_t n = std::min(kChunk, kFileBytes - off);
+      ASSERT_TRUE(fs_.Write("/f" + std::to_string(i), off, Pattern(n, i), fs::WritePolicy::kAsync)
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(fs_.Sync().ok());
+  for (int i = 0; i < kFiles; i += 2) {
+    ASSERT_TRUE(fs_.Remove("/f" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(fs_.Create("/dirty").ok());
+  ASSERT_TRUE(fs_.Write("/dirty", 0, Pattern(2 * kFileBytes, 99), fs::WritePolicy::kAsync).ok());
+  ASSERT_LT(lld_.FreeSegments(), LldConfig{}.idle_clean_target);
+  EXPECT_EQ(fs_.stats().idle_flush_failures, 0u);
+  EXPECT_EQ(fs_.stats().idle_clean_failures, 0u);
+
+  disk_.SetWriteFault(simdisk::SimDisk::WriteFault{
+      .mode = simdisk::SimDisk::WriteFaultMode::kFailStop, .after_writes = 0});
+  fs_.RunIdle(clock_.Now() + common::Seconds(2), &clock_);
+  EXPECT_EQ(fs_.stats().idle_flush_failures, 1u);
+  EXPECT_EQ(fs_.stats().idle_clean_failures, 1u);
+  EXPECT_EQ(fs_.stats().trim_failures, 0u);
 }
 
 TEST_F(SimpleFsTest, ManyFilesAndDirectories) {

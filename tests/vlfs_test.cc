@@ -2,14 +2,18 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/core/map_sector.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/host_model.h"
 #include "src/simdisk/sim_disk.h"
+#include "src/ufs/layout.h"
 #include "src/vlfs/vlfs.h"
 
 namespace vlog::vlfs {
@@ -216,6 +220,119 @@ TEST_F(VlfsTest, FailedIdleCommitAndCheckpointAreCounted) {
   // The group commit fails, and so does the checkpoint, which commits the same group first.
   EXPECT_EQ(fs_->stats().idle_failures, 2u);
   EXPECT_GT(fs_->vlog().PinnedCount(), 0u) << "a failed checkpoint releases nothing";
+}
+
+// Vlfs::Recover treats CRC-valid media as untrusted input. An inode-map entry past the disk, on
+// a system block, or aliasing another inode block's block, and an inode's direct or indirect
+// pointer or indirect-table entry past the disk or on a system block, each make recovery return
+// kCorruption instead of indexing its owner table out of range. Map sectors are planted signed
+// with the current epoch, so they pass the CRC; inode and indirect blocks carry no checksum and
+// are edited in place.
+TEST_F(VlfsTest, RecoverRejectsHostileBlockPointers) {
+  constexpr uint32_t kBlock = 4096;
+  constexpr uint32_t kBigBlocks = ufs::kDirectPtrs + 2;  // Two entries in the indirect table.
+  // Three map pieces reserve a second system block, which an inode pointer can name (block 0
+  // doubles as ufs::kNoAddr).
+  const VlfsConfig config{.inode_blocks = 312};
+  // 40 files plus the root span two inode blocks; /big reaches its indirect block. Every write
+  // is synchronous, so all of it is committed; nothing parks, so recovery scans.
+  const auto prepare = [&] {
+    Reset();
+    fs_ = std::make_unique<Vlfs>(disk_.get(), host_.get(), config);
+    ASSERT_TRUE(fs_->Format().ok());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(fs_->Create("/f" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(fs_->Create("/big").ok());
+    ASSERT_TRUE(
+        fs_->Write("/big", 0, Pattern(kBigBlocks * kBlock, 3), fs::WritePolicy::kSync).ok());
+    ASSERT_NE(fs_->inode_map()[1], core::kUnmappedBlock);
+  };
+  const auto reopen = [&] { fs_ = std::make_unique<Vlfs>(disk_.get(), host_.get(), config); };
+  const auto expect_corruption = [&](const char* what) {
+    reopen();
+    const auto info = fs_->Recover();
+    ASSERT_FALSE(info.ok()) << what;
+    EXPECT_EQ(info.status().code(), common::StatusCode::kCorruption) << what;
+  };
+  const auto block_lba = [&](uint32_t block) { return fs_->space().BlockToLba(block); };
+  // Plants a younger version of map piece 0 with `entry` for inode block 1.
+  const auto plant_map = [&](uint32_t entry) {
+    const uint32_t last = static_cast<uint32_t>(fs_->space().total_blocks() - 1);
+    std::vector<std::byte> existing(kBlock);
+    ASSERT_TRUE(disk_->InternalRead(block_lba(last), existing).ok());
+    ASSERT_EQ(existing, std::vector<std::byte>(kBlock)) << "plant site must be unwritten";
+    core::MapSector s;
+    s.seq = fs_->vlog().NextSeq() + 1000;
+    s.piece = 0;
+    s.entries.assign(fs_->inode_map().begin(), fs_->inode_map().begin() + core::kEntriesPerSector);
+    s.entries[1] = entry;
+    ASSERT_TRUE(disk_->InternalWrite(block_lba(last), s.Serialize(fs_->vlog().Epoch())).ok());
+  };
+  // Rewrites /big's inode in place after `edit` changes it.
+  const auto edit_big_inode = [&](const std::function<void(ufs::Inode&)>& edit) {
+    for (const uint32_t phys : fs_->inode_map()) {
+      if (phys == core::kUnmappedBlock) {
+        continue;
+      }
+      std::vector<std::byte> raw(kBlock);
+      ASSERT_TRUE(disk_->InternalRead(block_lba(phys), raw).ok());
+      for (uint32_t i = 0; i < ufs::kInodesPerBlock; ++i) {
+        const std::span<std::byte> slot = std::span<std::byte>(raw).subspan(i * ufs::kInodeBytes,
+                                                                            ufs::kInodeBytes);
+        ufs::Inode inode = ufs::Inode::Decode(slot);
+        if (inode.type == ufs::InodeType::kFile && inode.size == kBigBlocks * kBlock) {
+          edit(inode);
+          inode.EncodeTo(slot);
+          ASSERT_TRUE(disk_->InternalWrite(block_lba(phys), raw).ok());
+          return;
+        }
+      }
+    }
+    FAIL() << "no inode for /big";
+  };
+
+  prepare();
+  const uint32_t total = static_cast<uint32_t>(fs_->space().total_blocks());
+  const uint32_t system = static_cast<uint32_t>(fs_->space().system_blocks());
+  ASSERT_GE(system, 2u);
+
+  const uint32_t inode_block0 = fs_->inode_map()[0];
+  for (const uint32_t entry : {total, total + 100000, 0u, inode_block0}) {
+    prepare();
+    plant_map(entry);
+    expect_corruption(("inode-map entry " + std::to_string(entry)).c_str());
+  }
+  for (const uint32_t bad : {total, total + 100000, system - 1}) {
+    const std::string which = " = " + std::to_string(bad);
+    prepare();
+    edit_big_inode([&](ufs::Inode& inode) { inode.direct[1] = bad; });
+    expect_corruption(("direct pointer" + which).c_str());
+    prepare();
+    edit_big_inode([&](ufs::Inode& inode) { inode.indirect = bad; });
+    expect_corruption(("indirect pointer" + which).c_str());
+    prepare();
+    uint32_t indirect = ufs::kNoAddr;
+    edit_big_inode([&](ufs::Inode& inode) { indirect = inode.indirect; });
+    ASSERT_NE(indirect, ufs::kNoAddr);
+    std::vector<std::byte> table(kBlock);
+    ASSERT_TRUE(disk_->InternalRead(block_lba(indirect), table).ok());
+    common::StoreLe<uint32_t>(table, 4, bad);  // Entry for file block kDirectPtrs + 1.
+    ASSERT_TRUE(disk_->InternalWrite(block_lba(indirect), table).ok());
+    expect_corruption(("indirect-table entry" + which).c_str());
+  }
+
+  // Control: the same younger map sector with inode block 1's own entry recovers, and every
+  // file reads back.
+  prepare();
+  plant_map(fs_->inode_map()[1]);
+  reopen();
+  const auto info = fs_->Recover();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  std::vector<std::byte> out(kBigBlocks * kBlock);
+  ASSERT_TRUE(fs_->Read("/big", 0, out).ok());
+  EXPECT_EQ(out, Pattern(kBigBlocks * kBlock, 3));
+  EXPECT_TRUE(fs_->Stat("/f39").ok());
 }
 
 TEST_F(VlfsTest, RandomizedWorkloadWithCrashes) {
