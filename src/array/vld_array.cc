@@ -101,8 +101,8 @@ common::StatusOr<uint32_t> VldArray::PickReadMember() {
   return common::FailedPrecondition("array: every replica is failed");
 }
 
-std::vector<VldArray::Run> VldArray::SplitStriped(simdisk::Lba lba, uint64_t sectors) const {
-  std::vector<Run> runs;
+void VldArray::SplitStriped(simdisk::Lba lba, uint64_t sectors, std::vector<Run>& runs) const {
+  runs.clear();
   uint64_t done = 0;
   while (done < sectors) {
     const uint64_t s = lba + done;
@@ -125,7 +125,6 @@ std::vector<VldArray::Run> VldArray::SplitStriped(simdisk::Lba lba, uint64_t sec
     }
     done += len;
   }
-  return runs;
 }
 
 common::Status VldArray::CheckStriped(const std::vector<Run>& runs) const {
@@ -144,7 +143,8 @@ common::Status VldArray::Write(simdisk::Lba lba, std::span<const std::byte> in) 
   }
   common::Time barrier = now_;
   if (config_.mode == ArrayMode::kStriped) {
-    const std::vector<Run> runs = SplitStriped(lba, sectors);
+    std::vector<Run> runs;
+    SplitStriped(lba, sectors, runs);
     RETURN_IF_ERROR(CheckStriped(runs));
     for (const Run& r : runs) {
       EnterMember(r.member);
@@ -179,7 +179,8 @@ common::Status VldArray::Read(simdisk::Lba lba, std::span<std::byte> out) {
   }
   common::Time barrier = now_;
   if (config_.mode == ArrayMode::kStriped) {
-    const std::vector<Run> runs = SplitStriped(lba, sectors);
+    std::vector<Run> runs;
+    SplitStriped(lba, sectors, runs);
     RETURN_IF_ERROR(CheckStriped(runs));
     for (const Run& r : runs) {
       EnterMember(r.member);
@@ -229,6 +230,25 @@ common::Status VldArray::Format() {
   return common::OkStatus();
 }
 
+VldArray::Pending& VldArray::Enqueue(bool is_write, simdisk::Lba lba, uint64_t sectors) {
+  if (spare_.empty()) {
+    queue_.emplace_back();
+  } else {
+    queue_.push_back(std::move(spare_.back()));
+    spare_.pop_back();
+  }
+  Pending& p = queue_.back();
+  p.id = next_id_++;
+  p.is_write = is_write;
+  p.lba = lba;
+  p.sectors = sectors;
+  p.submit_time = now_;
+  p.data.clear();
+  p.runs.clear();
+  p.run_ids.clear();
+  return p;
+}
+
 common::StatusOr<uint64_t> VldArray::SubmitWrite(simdisk::Lba lba,
                                                  std::span<const std::byte> in) {
   if (queue_.size() >= queue_depth_) {
@@ -238,15 +258,9 @@ common::StatusOr<uint64_t> VldArray::SubmitWrite(simdisk::Lba lba,
   if (lba + sectors > SectorCount()) {
     return common::InvalidArgument("array: write beyond capacity");
   }
-  Pending p;
-  p.id = next_id_++;
-  p.is_write = true;
-  p.lba = lba;
-  p.sectors = sectors;
-  p.submit_time = now_;
+  Pending& p = Enqueue(/*is_write=*/true, lba, sectors);
   p.data.assign(in.begin(), in.end());
-  queue_.push_back(std::move(p));
-  return queue_.back().id;
+  return p.id;
 }
 
 common::StatusOr<uint64_t> VldArray::SubmitRead(simdisk::Lba lba, uint64_t sectors) {
@@ -256,14 +270,7 @@ common::StatusOr<uint64_t> VldArray::SubmitRead(simdisk::Lba lba, uint64_t secto
   if (lba + sectors > SectorCount()) {
     return common::InvalidArgument("array: read beyond capacity");
   }
-  Pending p;
-  p.id = next_id_++;
-  p.is_write = false;
-  p.lba = lba;
-  p.sectors = sectors;
-  p.submit_time = now_;
-  queue_.push_back(std::move(p));
-  return queue_.back().id;
+  return Enqueue(/*is_write=*/false, lba, sectors).id;
 }
 
 common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue() {
@@ -271,7 +278,10 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
   if (queue_.empty()) {
     return completions;
   }
-  std::vector<Pending> batch;
+  // The batch is a member so its requests' buffers carry over between batches; a batch that
+  // failed midway is dropped here.
+  std::vector<Pending>& batch = batch_;
+  batch.clear();
   batch.swap(queue_);
 
   // Split every request into member runs. Health is evaluated here, not at submission, so a
@@ -279,7 +289,7 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
   // (striped) before any member sees a command.
   for (Pending& p : batch) {
     if (config_.mode == ArrayMode::kStriped) {
-      p.runs = SplitStriped(p.lba, p.sectors);
+      SplitStriped(p.lba, p.sectors, p.runs);
       RETURN_IF_ERROR(CheckStriped(p.runs));
     } else if (p.is_write) {
       if (healthy_members() == 0) {
@@ -318,15 +328,18 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
 
   // The cross-disk group commit: one FlushQueue — one queue batch, one packed virtual-log
   // commit — per touched member, however many array requests fanned out to it.
-  std::vector<bool> touched(members_.size(), false);
+  std::vector<bool>& touched = touched_;
+  touched.assign(members_.size(), false);
   for (const Pending& p : batch) {
     for (const Run& r : p.runs) {
       touched[r.member] = true;
     }
   }
-  std::vector<std::vector<core::Vld::QueuedCompletion>> member_done(members_.size());
+  std::vector<std::vector<core::Vld::QueuedCompletion>>& member_done = member_done_;
+  member_done.resize(members_.size());
   common::Time barrier = now_;
   for (uint32_t m = 0; m < members_.size(); ++m) {
+    member_done[m].clear();
     if (!touched[m]) {
       continue;
     }
@@ -339,7 +352,11 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
   now_ = barrier;
 
   // Assemble array completions in submission order. A write acknowledges at the cross-disk
-  // barrier over the members it touched; a read completes when its last member run did.
+  // barrier over the members it touched; a read completes when its last member run did. Each
+  // member returns its completions in its own submission order, which is the order of the runs
+  // below, so a per-member cursor finds every run's completion without rescanning.
+  std::vector<size_t>& cursor = member_cursor_;
+  cursor.assign(members_.size(), 0);
   completions.reserve(batch.size());
   for (Pending& p : batch) {
     QueuedCompletion c;
@@ -347,32 +364,40 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
     c.is_write = p.is_write;
     c.lba = p.lba;
     c.submit_time = p.submit_time;
-    if (!p.is_write) {
+    // A read served by one member run takes that run's payload as is; a split read gathers.
+    const bool gather = !p.is_write && p.runs.size() > 1;
+    if (gather) {
       c.data.resize(p.sectors * SectorBytes());
     }
     for (size_t j = 0; j < p.runs.size(); ++j) {
       const Run& r = p.runs[j];
-      const core::Vld::QueuedCompletion* mc = nullptr;
-      for (const core::Vld::QueuedCompletion& cand : member_done[r.member]) {
-        if (cand.id == p.run_ids[j]) {
-          mc = &cand;
-          break;
-        }
+      std::vector<core::Vld::QueuedCompletion>& done = member_done[r.member];
+      size_t& k = cursor[r.member];
+      while (k < done.size() && done[k].id != p.run_ids[j]) {
+        ++k;  // A member request the array did not submit in this batch.
       }
-      if (mc == nullptr) {
+      if (k == done.size()) {
         return common::IoError("array: member completion missing");
       }
-      c.complete_time = std::max(c.complete_time, mc->complete_time);
-      c.dispatch_time = j == 0 ? mc->dispatch_time : std::min(c.dispatch_time, mc->dispatch_time);
-      member_hist_[r.member].Record(mc->complete_time - mc->submit_time);
-      if (!p.is_write) {
-        std::memcpy(c.data.data() + r.offset * SectorBytes(), mc->data.data(),
+      core::Vld::QueuedCompletion& mc = done[k++];
+      c.complete_time = std::max(c.complete_time, mc.complete_time);
+      c.dispatch_time = j == 0 ? mc.dispatch_time : std::min(c.dispatch_time, mc.dispatch_time);
+      member_hist_[r.member].Record(mc.complete_time - mc.submit_time);
+      if (gather) {
+        std::memcpy(c.data.data() + r.offset * SectorBytes(), mc.data.data(),
                     r.sectors * SectorBytes());
+      } else if (!p.is_write) {
+        c.data = std::move(mc.data);
       }
     }
     latency_hist_.Record(c.Latency());
     completions.push_back(std::move(c));
   }
+  // Recycle the requests (and their payload and run buffers); at most queue_depth of them.
+  for (Pending& p : batch) {
+    spare_.push_back(std::move(p));
+  }
+  batch.clear();
   return completions;
 }
 

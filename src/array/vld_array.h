@@ -156,7 +156,10 @@ class VldArray : public simdisk::BlockDevice {
     std::vector<uint64_t> run_ids;  // Member completion id per run (filled by FlushQueue).
   };
 
-  std::vector<Run> SplitStriped(simdisk::Lba lba, uint64_t sectors) const;
+  // Fills `runs` with the member runs of an array extent (striped mode).
+  void SplitStriped(simdisk::Lba lba, uint64_t sectors, std::vector<Run>& runs) const;
+  // Appends a request to queue_, reusing a spare one's buffers when there is one.
+  Pending& Enqueue(bool is_write, simdisk::Lba lba, uint64_t sectors);
   // Syncs member m's clock to the array's time and labels its tracer with the member index.
   void EnterMember(uint32_t m);
   // Folds member m's finish time into the fan-out barrier being accumulated in `barrier`.
@@ -175,6 +178,14 @@ class VldArray : public simdisk::BlockDevice {
   uint32_t read_rr_ = 0;  // Mirrored read round-robin cursor (deterministic).
   common::Time now_ = 0;  // Array time: the max finish time of any fan-out so far.
   std::vector<Pending> queue_;
+  // FlushQueue's batch and scratch, kept so their storage is reused across batches. spare_
+  // holds flushed requests for Enqueue to reuse: a request is either queued, in the batch or
+  // spare, so there are never more than the queue depth of them.
+  std::vector<Pending> batch_;
+  std::vector<Pending> spare_;
+  std::vector<bool> touched_;
+  std::vector<std::vector<core::Vld::QueuedCompletion>> member_done_;
+  std::vector<size_t> member_cursor_;
   uint64_t next_id_ = 1;
   uint32_t queue_depth_ = 0;
   obs::LatencyHistogram latency_hist_;

@@ -1,6 +1,5 @@
 #include "src/core/eager_allocator.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace vlog::core {
@@ -33,37 +32,43 @@ std::optional<EagerAllocator::Candidate> EagerAllocator::BestInTrack(
   return Candidate{*block, arm_move + rot};
 }
 
+std::optional<EagerAllocator::Candidate> EagerAllocator::BestInCylinder(
+    uint32_t cylinder, uint64_t heads, common::Duration arm_move) const {
+  if (excluded_track_ && *excluded_track_ / space_->tracks_per_cylinder() == cylinder) {
+    heads &= ~(uint64_t{1} << (*excluded_track_ % space_->tracks_per_cylinder()));
+  }
+  if (heads == 0 || space_->FreeInCylinder(cylinder) == 0) {
+    return std::nullopt;
+  }
+  // One head position serves every track of the cylinder: rotation is shared across surfaces.
+  const uint32_t from = disk_->SectorUnderHead(disk_->clock()->Now() + arm_move);
+  uint32_t skip = 0;
+  const auto block = space_->NearestFreeInCylinder(cylinder, heads, from, &skip);
+  if (!block) {
+    return std::nullopt;
+  }
+  const common::Duration rot = disk_->params().SectorTime() * skip;
+  return Candidate{*block, arm_move + rot};
+}
+
 std::optional<EagerAllocator::Candidate> EagerAllocator::GreedyPick() {
   const auto& geom = disk_->geometry();
   const simdisk::PhysAddr arm = disk_->ArmPosition();
   const uint64_t current_track =
       static_cast<uint64_t>(arm.cylinder) * geom.tracks_per_cylinder + arm.head;
+  const uint64_t arm_head = uint64_t{1} << arm.head;
+  const common::Duration head_switch = disk_->params().head_switch;
 
+  // The current track, then the other tracks of the current cylinder, each paying a head
+  // switch; a cylinder track wins only when strictly cheaper.
   std::optional<Candidate> best = BestInTrack(current_track, 0);
-  if (best) {
-    ++stats_.same_track;  // Provisional; corrected below if beaten.
-  }
-
-  // Other tracks in the current cylinder, each paying a head switch.
-  const uint64_t cyl_base = static_cast<uint64_t>(arm.cylinder) * geom.tracks_per_cylinder;
-  bool beaten_by_cylinder = false;
-  for (uint32_t h = 0; h < geom.tracks_per_cylinder; ++h) {
-    if (h == arm.head) {
-      continue;
-    }
-    const auto cand = BestInTrack(cyl_base + h, disk_->params().head_switch);
-    if (cand && (!best || cand->cost < best->cost)) {
-      if (best && !beaten_by_cylinder) {
-        --stats_.same_track;
-      }
-      beaten_by_cylinder = true;
-      best = cand;
-    }
-  }
-  if (beaten_by_cylinder) {
+  const auto cand = BestInCylinder(arm.cylinder, space_->AllHeads() & ~arm_head, head_switch);
+  if (cand && (!best || cand->cost < best->cost)) {
     ++stats_.same_cylinder;
+    return cand;
   }
   if (best) {
+    ++stats_.same_track;
     return best;
   }
 
@@ -73,17 +78,23 @@ std::optional<EagerAllocator::Candidate> EagerAllocator::GreedyPick() {
     if (space_->FreeInCylinder(cyl) == 0) {
       continue;  // Fully packed cylinder: no track probe can succeed.
     }
-    const uint64_t base = static_cast<uint64_t>(cyl) * geom.tracks_per_cylinder;
     // Seek distance honours the one-direction sweep: wrapping costs a long reverse seek.
     const uint32_t dist = cyl >= arm.cylinder ? cyl - arm.cylinder : arm.cylinder - cyl;
     const common::Duration seek = disk_->params().seek.SeekTime(dist);
+    // Head selection overlaps the seek: every head pays max(seek, head switch) except the
+    // arm's own, which pays only the seek. The two moves differ only when the seek is shorter.
     std::optional<Candidate> cyl_best;
-    for (uint32_t h = 0; h < geom.tracks_per_cylinder; ++h) {
-      const common::Duration move =
-          std::max(seek, h != arm.head ? disk_->params().head_switch : common::Duration{0});
-      const auto cand = BestInTrack(base + h, move);
-      if (cand && (!cyl_best || cand->cost < cyl_best->cost)) {
-        cyl_best = cand;
+    if (seek >= head_switch) {
+      cyl_best = BestInCylinder(cyl, space_->AllHeads(), seek);
+    } else {
+      cyl_best = BestInCylinder(cyl, space_->AllHeads() & ~arm_head, head_switch);
+      const uint64_t own_track = static_cast<uint64_t>(cyl) * geom.tracks_per_cylinder + arm.head;
+      const auto own = BestInTrack(own_track, seek);
+      // Equal costs go to the lower head, as a head-by-head scan would pick.
+      if (own && (!cyl_best || own->cost < cyl_best->cost ||
+                  (own->cost == cyl_best->cost &&
+                   space_->TrackOfBlock(own->block) < space_->TrackOfBlock(cyl_best->block)))) {
+        cyl_best = own;
       }
     }
     if (cyl_best) {

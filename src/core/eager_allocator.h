@@ -66,6 +66,10 @@ class EagerAllocator {
 
   // Best candidate in `track` reachable after `arm_move` of arm repositioning time.
   std::optional<Candidate> BestInTrack(uint64_t track, common::Duration arm_move) const;
+  // Best candidate over the tracks of `cylinder` whose head is in `heads` (the excluded track
+  // removed), all reachable after the same `arm_move`; ties go to the lowest head.
+  std::optional<Candidate> BestInCylinder(uint32_t cylinder, uint64_t heads,
+                                          common::Duration arm_move) const;
   std::optional<Candidate> GreedyPick();
   std::optional<Candidate> FillPick();
   std::optional<Candidate> HolePlugPick();

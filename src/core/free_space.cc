@@ -12,6 +12,7 @@ FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block
       tracks_per_cylinder_(geometry.tracks_per_cylinder) {
   assert(geometry.sectors_per_track % block_sectors == 0 &&
          "physical block size must divide the track");
+  assert(tracks_per_cylinder_ <= 64 && "slot_heads_ holds one bit per head");
   const uint64_t tracks = geometry.TotalTracks();
   states_.assign(tracks * blocks_per_track_, BlockState::kFree);
   cyl_free_.assign(geometry.cylinders, tracks_per_cylinder_ * blocks_per_track_);
@@ -23,6 +24,36 @@ FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block
   index_words_ = (tracks + 63) / 64;
   hole_index_.assign(static_cast<size_t>(blocks_per_track_) * index_words_, 0);
   hole_level_size_.assign(blocks_per_track_, 0);
+  // Everything starts free: whole-word fills, since crash-sweep recovery builds one map per
+  // point.
+  track_words_ = (blocks_per_track_ + 63) / 64;
+  free_slots_.assign(tracks * track_words_, ~uint64_t{0});
+  if (const uint32_t tail = blocks_per_track_ % 64; tail != 0) {
+    for (uint64_t t = 1; t <= tracks; ++t) {
+      free_slots_[t * track_words_ - 1] = (uint64_t{1} << tail) - 1;
+    }
+  }
+  slot_heads_.assign(static_cast<size_t>(geometry.cylinders) * blocks_per_track_, AllHeads());
+}
+
+uint64_t FreeSpaceMap::AllHeads() const {
+  return tracks_per_cylinder_ == 64 ? ~uint64_t{0} : (uint64_t{1} << tracks_per_cylinder_) - 1;
+}
+
+void FreeSpaceMap::SetFreeBit(uint32_t block, bool free) {
+  const uint64_t track = TrackOfBlock(block);
+  const uint32_t slot = static_cast<uint32_t>(block - track * blocks_per_track_);
+  uint64_t& word = free_slots_[track * track_words_ + slot / 64];
+  uint64_t& heads = slot_heads_[CylinderOfTrack(track) * blocks_per_track_ + slot];
+  const uint64_t slot_bit = uint64_t{1} << (slot % 64);
+  const uint64_t head_bit = uint64_t{1} << (track % tracks_per_cylinder_);
+  if (free) {
+    word |= slot_bit;
+    heads |= head_bit;
+  } else {
+    word &= ~slot_bit;
+    heads &= ~head_bit;
+  }
 }
 
 void FreeSpaceMap::IndexRemove(uint64_t track) {
@@ -44,6 +75,7 @@ void FreeSpaceMap::IndexInsert(uint64_t track) {
 void FreeSpaceMap::MarkSystem(uint32_t block) {
   assert(states_[block] == BlockState::kFree);
   states_[block] = BlockState::kSystem;
+  SetFreeBit(block, false);
   const uint64_t track = TrackOfBlock(block);
   IndexRemove(track);
   if (TrackEmpty(track)) {
@@ -60,6 +92,7 @@ void FreeSpaceMap::MarkSystem(uint32_t block) {
 void FreeSpaceMap::MarkLive(uint32_t block) {
   assert(states_[block] == BlockState::kFree);
   states_[block] = BlockState::kLive;
+  SetFreeBit(block, false);
   const uint64_t track = TrackOfBlock(block);
   IndexRemove(track);
   if (TrackEmpty(track)) {
@@ -76,6 +109,7 @@ void FreeSpaceMap::MarkLive(uint32_t block) {
 void FreeSpaceMap::Free(uint32_t block) {
   assert(states_[block] == BlockState::kLive);
   states_[block] = BlockState::kFree;
+  SetFreeBit(block, true);
   const uint64_t track = TrackOfBlock(block);
   IndexRemove(track);
   ++track_free_[track];
@@ -93,24 +127,57 @@ bool FreeSpaceMap::TrackEmpty(uint64_t track) const {
   return track_live_[track] == 0 && track_system_[track] == 0;
 }
 
+uint32_t FreeSpaceMap::FirstSlotFrom(uint32_t from_sector) const {
+  // Blocks are block_sectors_-aligned; a sector past the last block's start wraps to slot 0.
+  const uint32_t first = (from_sector + block_sectors_ - 1) / block_sectors_;
+  return first < blocks_per_track_ ? first : 0;
+}
+
+uint32_t FreeSpaceMap::SkipTo(uint32_t slot, uint32_t from_sector) const {
+  return (slot * block_sectors_ + sectors_per_track_ - from_sector) % sectors_per_track_;
+}
+
 std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track, uint32_t from_sector,
                                                          uint32_t* skip_sectors) const {
   if (track_free_[track] == 0) {
     return std::nullopt;
   }
-  const uint32_t base = static_cast<uint32_t>(track * blocks_per_track_);
-  // The first block whose start is at or after from_sector (blocks are block_sectors_-aligned).
-  const uint32_t first =
-      (from_sector + block_sectors_ - 1) / block_sectors_;  // Candidate slot index in track.
+  const uint64_t* words = &free_slots_[track * track_words_];
+  const uint32_t first = FirstSlotFrom(from_sector);
+  // The first set bit at or after `first`, circularly: the rest of first's word, then the
+  // following words with wrap-around, ending on the low bits of first's word.
+  uint32_t w = first / 64;
+  uint64_t bits = words[w] & (~uint64_t{0} << (first % 64));
+  for (uint32_t n = 0; bits == 0 && n < track_words_; ++n) {
+    w = w + 1 == track_words_ ? 0 : w + 1;
+    bits = words[w];
+  }
+  assert(bits != 0 && "track_free_ and free_slots_ disagree");
+  const uint32_t slot = w * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+  if (skip_sectors != nullptr) {
+    *skip_sectors = SkipTo(slot, from_sector);
+  }
+  return static_cast<uint32_t>(track * blocks_per_track_ + slot);
+}
+
+std::optional<uint32_t> FreeSpaceMap::NearestFreeInCylinder(uint32_t cylinder, uint64_t heads,
+                                                            uint32_t from_sector,
+                                                            uint32_t* skip_sectors) const {
+  if (cyl_free_[cylinder] == 0 || heads == 0) {
+    return std::nullopt;
+  }
+  const uint64_t* slots = &slot_heads_[static_cast<size_t>(cylinder) * blocks_per_track_];
+  uint32_t slot = FirstSlotFrom(from_sector);
   for (uint32_t i = 0; i < blocks_per_track_; ++i) {
-    const uint32_t slot = (first + i) % blocks_per_track_;
-    if (states_[base + slot] == BlockState::kFree) {
+    if (const uint64_t free = slots[slot] & heads; free != 0) {
+      const uint64_t track = static_cast<uint64_t>(cylinder) * tracks_per_cylinder_ +
+                             static_cast<uint64_t>(std::countr_zero(free));
       if (skip_sectors != nullptr) {
-        const uint32_t start = slot * block_sectors_;
-        *skip_sectors = (start + sectors_per_track_ - from_sector) % sectors_per_track_;
+        *skip_sectors = SkipTo(slot, from_sector);
       }
-      return base + slot;
+      return static_cast<uint32_t>(track * blocks_per_track_ + slot);
     }
+    slot = slot + 1 == blocks_per_track_ ? 0 : slot + 1;
   }
   return std::nullopt;
 }

@@ -2,7 +2,9 @@
 //
 // The VLD allocates and frees fixed-size physical blocks (4 KB by default — §4.2 chooses the
 // file system block size per Appendix A.1). This map tracks per-block state plus per-track
-// free/live counts so the eager allocator and the compactor can reason at track granularity.
+// free/live counts so the eager allocator and the compactor can reason at track granularity,
+// and free-slot bitmasks (per track, and per cylinder slot across heads) so the allocator's
+// nearest-free queries cost a few word operations instead of a slot-by-slot scan.
 #ifndef SRC_CORE_FREE_SPACE_H_
 #define SRC_CORE_FREE_SPACE_H_
 
@@ -26,6 +28,7 @@ class FreeSpaceMap {
 
   uint32_t block_sectors() const { return block_sectors_; }
   uint32_t blocks_per_track() const { return blocks_per_track_; }
+  uint32_t tracks_per_cylinder() const { return tracks_per_cylinder_; }
   uint64_t total_blocks() const { return states_.size(); }
   uint64_t total_tracks() const { return track_free_.size(); }
   uint64_t free_blocks() const { return free_blocks_; }
@@ -59,8 +62,17 @@ class FreeSpaceMap {
   // The free block in `track` whose starting sector is rotationally nearest at or after
   // `from_sector`, scanning circularly. Returns the block and, via `skip_sectors`, the
   // rotational distance in sectors from `from_sector` to the block's first sector.
+  // Answered from the track's free-slot mask with a rotate and a count of trailing zeros.
   std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector,
                                              uint32_t* skip_sectors) const;
+  // The same query over every track of `cylinder` whose head is set in `heads` (bit h stands
+  // for head h): the free block rotationally nearest at or after `from_sector`, ties between
+  // heads at that slot going to the lowest head. At most blocks_per_track() slot probes.
+  std::optional<uint32_t> NearestFreeInCylinder(uint32_t cylinder, uint64_t heads,
+                                                uint32_t from_sector,
+                                                uint32_t* skip_sectors) const;
+  // The `heads` mask naming every head of a cylinder.
+  uint64_t AllHeads() const;
 
   // The fullest track with holes: among tracks holding at least one live and one free block,
   // other than `excluded`, the one with the most live blocks, ties going to the lowest index.
@@ -84,6 +96,12 @@ class FreeSpaceMap {
   // live-count level and joins the new one, each only while it has holes.
   void IndexRemove(uint64_t track);
   void IndexInsert(uint64_t track);
+  // Sets or clears `block`'s bit in both free-slot masks.
+  void SetFreeBit(uint32_t block, bool free);
+  // The slot index of the first block starting at or after `from_sector`, wrapping to slot 0.
+  uint32_t FirstSlotFrom(uint32_t from_sector) const;
+  // Rotational distance in sectors from `from_sector` to the start of `slot`.
+  uint32_t SkipTo(uint32_t slot, uint32_t from_sector) const;
 
   uint32_t block_sectors_;
   uint32_t blocks_per_track_;
@@ -104,6 +122,14 @@ class FreeSpaceMap {
   uint64_t index_words_ = 0;
   std::vector<uint64_t> hole_index_;
   std::vector<uint32_t> hole_level_size_;
+  // Free-slot masks, kept in step with states_ by MarkSystem, MarkLive and Free:
+  //  - bit s % 64 of free_slots_[t * track_words_ + s / 64] is set exactly when slot s of
+  //    track t is kFree (bits past blocks_per_track_ stay clear);
+  //  - bit h of slot_heads_[c * blocks_per_track_ + s] is set exactly when slot s of head h's
+  //    track in cylinder c is kFree, which bounds tracks_per_cylinder_ at 64.
+  uint32_t track_words_ = 0;
+  std::vector<uint64_t> free_slots_;
+  std::vector<uint64_t> slot_heads_;
 };
 
 }  // namespace vlog::core

@@ -294,7 +294,6 @@ common::Status Vld::StageHostWrite(simdisk::Lba lba, std::span<const std::byte> 
   const uint32_t sector_bytes = disk_->SectorBytes();
   const uint32_t bs = config_.block_sectors;
   const size_t block_bytes = static_cast<size_t>(bs) * sector_bytes;
-  std::vector<std::byte> merged(block_bytes);
   uint64_t i = 0;
   const uint64_t sectors = in.size() / sector_bytes;
   while (i < sectors) {
@@ -308,6 +307,8 @@ common::Status Vld::StageHostWrite(simdisk::Lba lba, std::span<const std::byte> 
       // Sub-block write: read-modify-write the physical block (internal fragmentation biases
       // against the VLD exactly as §4.2 notes).
       ++stats_.read_modify_writes;
+      std::vector<std::byte>& merged = merge_block_;
+      merged.resize(block_bytes);
       uint32_t source = map_[lblock];
       for (const StagedWrite& s : *staged) {
         if (s.logical_block == lblock) {
@@ -365,6 +366,10 @@ common::StatusOr<uint64_t> Vld::SubmitWrite(simdisk::Lba lba, std::span<const st
   req.is_write = true;
   req.lba = lba;
   req.sectors = in.size() / sector_bytes;
+  if (!payload_pool_.empty()) {
+    req.data = std::move(payload_pool_.back());
+    payload_pool_.pop_back();
+  }
   req.data.assign(in.begin(), in.end());
   req.submit_time = disk_->clock()->Now();
   if (obs::TraceRecorder* tracer = disk_->tracer();
@@ -539,19 +544,29 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   if (queue_.empty()) {
     return completions;
   }
-  std::vector<QueuedRequest> batch;
+  // The batch and its scratch vectors are members, so their storage carries over between
+  // batches. A batch that failed midway is dropped here.
+  std::vector<QueuedRequest>& batch = batch_;
+  batch.clear();
   batch.swap(queue_);
   obs::TraceRecorder* tracer = disk_->tracer();
   // Phase 1: service the batch in scheduler order — each request's controller overhead
   // (pipelined against earlier media work), then its eager data-block writes or its media
   // reads. Disk events land on the request's own span. Reads complete here: they need no map
   // commit, so their spans close (and their completion stamps) at their own service time.
-  std::vector<StagedWrite> staged;
-  std::vector<common::Time> dispatch(batch.size());
-  std::vector<common::Time> read_done(batch.size(), 0);
-  std::vector<std::vector<std::byte>> read_data(batch.size());
-  std::vector<bool> serviced(batch.size(), false);
-  std::vector<int64_t> first_media(batch.size(), kCostUnknown);
+  std::vector<StagedWrite>& staged = flush_staged_;
+  std::vector<common::Time>& dispatch = flush_dispatch_;
+  std::vector<common::Time>& read_done = flush_read_done_;
+  std::vector<bool>& serviced = flush_serviced_;
+  std::vector<int64_t>& first_media = flush_first_media_;
+  // Read payloads leave with their completions, so each is a fresh buffer.
+  std::vector<std::vector<std::byte>>& read_data = flush_read_data_;
+  staged.clear();
+  dispatch.assign(batch.size(), 0);
+  read_done.assign(batch.size(), 0);
+  serviced.assign(batch.size(), false);
+  first_media.assign(batch.size(), kCostUnknown);
+  read_data.assign(batch.size(), {});
   size_t write_count = 0;
   for (size_t n = 0; n < batch.size(); ++n) {
     const size_t i = PickNextQueued(batch, serviced, first_media);
@@ -619,7 +634,11 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
     if (req.is_write && tracer != nullptr && req.span != 0) {
       tracer->EndSpan(req.span);
     }
+    if (req.is_write) {
+      payload_pool_.push_back(std::move(req.data));  // At most queue_depth buffers in all.
+    }
   }
+  batch.clear();
   return completions;
 }
 

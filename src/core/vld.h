@@ -261,6 +261,7 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   std::unique_ptr<Compactor> compactor_;
   std::vector<uint32_t> map_;      // logical block -> physical block (kUnmappedBlock if none).
   std::vector<uint32_t> reverse_;  // physical block -> logical block (data blocks only).
+  std::vector<std::byte> merge_block_;  // StageHostWrite's read-modify-write block buffer.
   // Outstanding queued requests, in submission order.
   struct QueuedRequest {
     uint64_t id = 0;
@@ -289,6 +290,17 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
                         const std::vector<bool>& serviced,
                         std::vector<int64_t>& first_media) const;
   std::vector<QueuedRequest> queue_;
+  // FlushQueue's batch and per-batch scratch, kept so their storage is reused across batches.
+  std::vector<QueuedRequest> batch_;
+  std::vector<StagedWrite> flush_staged_;
+  std::vector<common::Time> flush_dispatch_;
+  std::vector<common::Time> flush_read_done_;
+  std::vector<bool> flush_serviced_;
+  std::vector<int64_t> flush_first_media_;
+  std::vector<std::vector<std::byte>> flush_read_data_;
+  // Write-payload buffers of acknowledged requests, reused by SubmitWrite. A buffer is either
+  // here or in an outstanding write, so the pool never holds more than queue_depth of them.
+  std::vector<std::vector<std::byte>> payload_pool_;
   uint64_t next_queued_id_ = 1;
   common::Time ctrl_free_ = 0;  // Controller pipeline state for queued commands.
   VldStats stats_;

@@ -701,11 +701,12 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
   info.from_checkpoint = recovered.from_checkpoint;
   info.log_sectors_read = recovered.sectors_read;
   info.discarded_txn_sectors = recovered.discarded_txn_sectors;
-  // A CRC-valid map sector or an inode is still untrusted input: a block past the disk or on a
-  // system block would index owner_ out of range or corrupt the free-space map, so recovery
-  // refuses the image instead (as Vld::Recover does).
+  // A CRC-valid map sector or an inode is still untrusted input: a block past the disk, on a
+  // system block or already live (an inode block, a map-sector block or another pointer's
+  // block) would index owner_ out of range or corrupt the free-space map, so recovery refuses
+  // the image instead (as Vld::Recover does).
   const auto usable = [&](uint32_t block) {
-    return block < space_.total_blocks() && space_.state(block) != core::BlockState::kSystem;
+    return block < space_.total_blocks() && space_.state(block) == core::BlockState::kFree;
   };
   const auto invalid = [](const std::string& what, uint32_t block) {
     return common::Corruption("Vlfs::Recover: " + what + " points at invalid physical block " +
@@ -722,7 +723,7 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
         continue;
       }
       // Two inode blocks sharing one physical block would alias each other's inodes.
-      if (!usable(entries[i]) || owner_[entries[i]] != kOwnerNone) {
+      if (!usable(entries[i])) {
         return invalid("inode block " + std::to_string(iblock), entries[i]);
       }
       inode_map_[iblock] = entries[i];
@@ -742,6 +743,9 @@ common::StatusOr<VlfsRecoveryInfo> Vlfs::Recover() {
     map_blocks.insert(block);
   }
   for (const uint32_t block : map_blocks) {
+    if (!usable(block)) {
+      return invalid("map sector", block);  // An inode-map entry claimed it first.
+    }
     space_.MarkLive(block);
   }
 

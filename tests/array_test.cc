@@ -15,6 +15,7 @@
 #include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
+#include "tests/queued_payload_support.h"
 
 namespace vlog::array {
 namespace {
@@ -212,6 +213,33 @@ TEST(VldArrayTest, QueuedBatchCommitsOncePerMember) {
     ASSERT_TRUE(array.Read(i * 2 * chunk, out).ok());
     EXPECT_EQ(out, Pattern(2 * chunk * 512, i)) << "write " << i;
   }
+}
+
+// Array requests and their payload buffers are recycled across batches, and a read served by
+// one member run takes that member's buffer as its own. After a batch of long writes, shorter
+// writes and reads (same-batch RAW, within one chunk and across chunks) must each carry exactly
+// their own bytes.
+TEST(VldArrayTest, RecycledQueuedPayloadsLeakNoStaleBytes) {
+  // A request over five chunks puts three runs on one member, so members queue 3x deeper.
+  auto stacks = MakeStacks(2, {.queue_depth = 48});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
+  ASSERT_TRUE(array.Format().ok());
+  const uint64_t chunk = array.chunk_sectors();
+  const auto reads = testing_support::ExpectQueuedPayloadsIntact(
+      array, 64 * chunk, /*batch_size=*/16, /*long_sectors=*/4 * chunk, /*rounds=*/30,
+      /*seed=*/15);
+  size_t single_run = 0;
+  size_t crossing = 0;
+  for (const auto& r : reads) {
+    const bool one_chunk = r.lba / chunk == (r.lba + r.sectors - 1) / chunk;
+    single_run += one_chunk ? 1 : 0;
+    crossing += one_chunk ? 0 : 1;
+  }
+  EXPECT_GT(single_run, 10u);
+  EXPECT_GT(crossing, 10u);
+  EXPECT_GT(stacks[0]->vld->stats().forwarded_read_sectors +
+                stacks[1]->vld->stats().forwarded_read_sectors,
+            0u);
 }
 
 TEST(VldArrayTest, MirroredWritesReachEveryReplica) {

@@ -100,5 +100,40 @@ TEST(FreeSpace, SecondTrackIndexing) {
   EXPECT_EQ(skip, 8u);
 }
 
+TEST(FreeSpace, NearestFreeInCylinderTakesLowestHeadAtNearestSlot) {
+  // Cylinder 1 holds tracks 2 (head 0) and 3 (head 1), blocks 8-11 and 12-15.
+  FreeSpaceMap space(SmallGeom(), 8);
+  EXPECT_EQ(space.AllHeads(), 0b11u);
+  space.MarkLive(9);   // Head 0, slot 1.
+  space.MarkLive(10);  // Head 0, slot 2.
+  uint32_t skip = 0;
+  // From sector 8 (slot 1): head 0's slot 1 is taken, head 1's is free.
+  auto block = space.NearestFreeInCylinder(1, space.AllHeads(), 8, &skip);
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(*block, 13u);
+  EXPECT_EQ(skip, 0u);
+  // Slot 3 is free on both heads: the lower head wins.
+  block = space.NearestFreeInCylinder(1, space.AllHeads(), 20, &skip);
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(*block, 11u);
+  EXPECT_EQ(skip, 4u);
+  // Head 0 alone from slot 1: slots 1 and 2 taken, slot 3 next.
+  block = space.NearestFreeInCylinder(1, 0b01, 8, &skip);
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(*block, 11u);
+  EXPECT_EQ(skip, 16u);
+  // No heads allowed, or a packed cylinder: nothing.
+  EXPECT_FALSE(space.NearestFreeInCylinder(1, 0, 0, nullptr).has_value());
+  for (uint32_t b = 0; b < 8; ++b) {
+    space.MarkLive(b);
+  }
+  EXPECT_FALSE(space.NearestFreeInCylinder(0, space.AllHeads(), 0, nullptr).has_value());
+  space.Free(6);  // Head 1, slot 2: found from slot 3 by wrapping around.
+  block = space.NearestFreeInCylinder(0, space.AllHeads(), 24, &skip);
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(*block, 6u);
+  EXPECT_EQ(skip, 24u);
+}
+
 }  // namespace
 }  // namespace vlog::core

@@ -25,6 +25,7 @@
 #include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
+#include "tests/queued_payload_support.h"
 
 namespace vlog::core {
 namespace {
@@ -422,6 +423,18 @@ void RunDifferential(uint64_t seed, uint64_t cache_sectors) {
     ASSERT_TRUE(oracle.vld->Read(static_cast<simdisk::Lba>(b) * kBlockSectors, want).ok());
     ASSERT_EQ(got, want) << "final contents diverged at block " << b;
   }
+}
+
+// Write buffers are recycled across batches: after a batch of 4-block writes, shorter writes
+// (sub-block ones included) and same-batch read-after-write reads must see exactly their own
+// bytes, with no tail of an earlier, longer payload.
+TEST(QueuedReadTest, RecycledWritePayloadsLeakNoStaleBytes) {
+  Rig rig(VldConfig{.queue_depth = 16});
+  testing_support::ExpectQueuedPayloadsIntact(*rig.vld, 64 * kBlockSectors, /*batch_size=*/16,
+                                              /*long_sectors=*/4 * kBlockSectors,
+                                              /*rounds=*/30, /*seed=*/15);
+  EXPECT_GT(rig.vld->stats().forwarded_read_sectors, 0u);
+  EXPECT_GT(rig.vld->stats().read_modify_writes, 0u);
 }
 
 TEST(QueuedReadDifferentialTest, MatchesSyncOracleAcrossSeeds) {

@@ -43,6 +43,31 @@ class VlfsTest : public ::testing::Test {
   // Restart over the same media (crash if Park() was not called).
   void Reopen() { fs_ = std::make_unique<Vlfs>(disk_.get(), host_.get()); }
 
+  // Rewrites in place, on the media, the inode of the one regular file whose size is `size`
+  // after `edit` changes it: a hostile-image edit, seen only by a later recovery.
+  void EditFileInode(uint64_t size, const std::function<void(ufs::Inode&)>& edit) {
+    for (const uint32_t phys : fs_->inode_map()) {
+      if (phys == core::kUnmappedBlock) {
+        continue;
+      }
+      const simdisk::Lba lba = fs_->space().BlockToLba(phys);
+      std::vector<std::byte> raw(ufs::kBlockBytes);
+      ASSERT_TRUE(disk_->InternalRead(lba, raw).ok());
+      for (uint32_t i = 0; i < ufs::kInodesPerBlock; ++i) {
+        const std::span<std::byte> slot =
+            std::span<std::byte>(raw).subspan(i * ufs::kInodeBytes, ufs::kInodeBytes);
+        ufs::Inode inode = ufs::Inode::Decode(slot);
+        if (inode.type == ufs::InodeType::kFile && inode.size == size) {
+          edit(inode);
+          inode.EncodeTo(slot);
+          ASSERT_TRUE(disk_->InternalWrite(lba, raw).ok());
+          return;
+        }
+      }
+    }
+    FAIL() << "no inode of size " << size;
+  }
+
   common::Clock clock_;
   std::unique_ptr<simdisk::SimDisk> disk_;
   std::unique_ptr<simdisk::HostModel> host_;
@@ -269,27 +294,8 @@ TEST_F(VlfsTest, RecoverRejectsHostileBlockPointers) {
     s.entries[1] = entry;
     ASSERT_TRUE(disk_->InternalWrite(block_lba(last), s.Serialize(fs_->vlog().Epoch())).ok());
   };
-  // Rewrites /big's inode in place after `edit` changes it.
   const auto edit_big_inode = [&](const std::function<void(ufs::Inode&)>& edit) {
-    for (const uint32_t phys : fs_->inode_map()) {
-      if (phys == core::kUnmappedBlock) {
-        continue;
-      }
-      std::vector<std::byte> raw(kBlock);
-      ASSERT_TRUE(disk_->InternalRead(block_lba(phys), raw).ok());
-      for (uint32_t i = 0; i < ufs::kInodesPerBlock; ++i) {
-        const std::span<std::byte> slot = std::span<std::byte>(raw).subspan(i * ufs::kInodeBytes,
-                                                                            ufs::kInodeBytes);
-        ufs::Inode inode = ufs::Inode::Decode(slot);
-        if (inode.type == ufs::InodeType::kFile && inode.size == kBigBlocks * kBlock) {
-          edit(inode);
-          inode.EncodeTo(slot);
-          ASSERT_TRUE(disk_->InternalWrite(block_lba(phys), raw).ok());
-          return;
-        }
-      }
-    }
-    FAIL() << "no inode for /big";
+    EditFileInode(kBigBlocks * kBlock, edit);
   };
 
   prepare();
@@ -303,6 +309,16 @@ TEST_F(VlfsTest, RecoverRejectsHostileBlockPointers) {
     plant_map(entry);
     expect_corruption(("inode-map entry " + std::to_string(entry)).c_str());
   }
+  // An entry naming the planted sector's own block (plant_map writes it at total - 1) is
+  // refused when the live map-sector blocks are marked, before that block is read as inodes.
+  prepare();
+  plant_map(total - 1);
+  reopen();
+  const auto aliased = fs_->Recover();
+  ASSERT_FALSE(aliased.ok());
+  EXPECT_EQ(aliased.status().code(), common::StatusCode::kCorruption);
+  EXPECT_NE(aliased.status().message().find("map sector"), std::string::npos)
+      << aliased.status().ToString();
   for (const uint32_t bad : {total, total + 100000, system - 1}) {
     const std::string which = " = " + std::to_string(bad);
     prepare();
@@ -333,6 +349,65 @@ TEST_F(VlfsTest, RecoverRejectsHostileBlockPointers) {
   ASSERT_TRUE(fs_->Read("/big", 0, out).ok());
   EXPECT_EQ(out, Pattern(kBigBlocks * kBlock, 3));
   EXPECT_TRUE(fs_->Stat("/f39").ok());
+}
+
+TEST_F(VlfsTest, RecoverRejectsAliasedBlockPointers) {
+  constexpr uint32_t kBlock = 4096;
+  constexpr uint64_t kBigBytes = (ufs::kDirectPtrs + 2) * kBlock;  // Reaches its indirect block.
+  constexpr uint64_t kSmallBytes = 2 * kBlock;
+  // Every write is synchronous, so all of it is committed; nothing parks, so recovery scans.
+  const auto prepare = [&] {
+    Reset();
+    ASSERT_TRUE(fs_->Create("/big").ok());
+    ASSERT_TRUE(fs_->Write("/big", 0, Pattern(kBigBytes, 3), fs::WritePolicy::kSync).ok());
+    ASSERT_TRUE(fs_->Create("/small").ok());
+    ASSERT_TRUE(fs_->Write("/small", 0, Pattern(kSmallBytes, 4), fs::WritePolicy::kSync).ok());
+  };
+  const auto expect_corruption = [&](const char* what) {
+    Reopen();
+    const auto info = fs_->Recover();
+    ASSERT_FALSE(info.ok()) << what;
+    EXPECT_EQ(info.status().code(), common::StatusCode::kCorruption) << what;
+  };
+
+  // A direct pointer naming a live inode block, then one naming a live map-sector block.
+  prepare();
+  const uint32_t inode_block = fs_->inode_map()[0];
+  ASSERT_NE(inode_block, core::kUnmappedBlock);
+  EditFileInode(kBigBytes, [&](ufs::Inode& inode) { inode.direct[1] = inode_block; });
+  expect_corruption("direct pointer to an inode block");
+  prepare();
+  const auto map_block = fs_->vlog().LiveBlockOfPiece(0);
+  ASSERT_TRUE(map_block.has_value());
+  EditFileInode(kBigBytes, [&](ufs::Inode& inode) { inode.direct[1] = *map_block; });
+  expect_corruption("direct pointer to a map-sector block");
+
+  // An indirect-table entry naming /small's first data block.
+  prepare();
+  uint32_t small_block = ufs::kNoAddr;
+  uint32_t indirect = ufs::kNoAddr;
+  EditFileInode(kSmallBytes, [&](ufs::Inode& inode) { small_block = inode.direct[0]; });
+  EditFileInode(kBigBytes, [&](ufs::Inode& inode) { indirect = inode.indirect; });
+  ASSERT_NE(small_block, ufs::kNoAddr);
+  ASSERT_NE(indirect, ufs::kNoAddr);
+  std::vector<std::byte> table(kBlock);
+  const simdisk::Lba table_lba = fs_->space().BlockToLba(indirect);
+  ASSERT_TRUE(disk_->InternalRead(table_lba, table).ok());
+  common::StoreLe<uint32_t>(table, 4, small_block);  // Entry for file block kDirectPtrs + 1.
+  ASSERT_TRUE(disk_->InternalWrite(table_lba, table).ok());
+  expect_corruption("indirect entry to another file's block");
+
+  // Control: the same image, unedited, recovers and both files read back.
+  prepare();
+  Reopen();
+  const auto info = fs_->Recover();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  std::vector<std::byte> big(kBigBytes);
+  std::vector<std::byte> small(kSmallBytes);
+  ASSERT_TRUE(fs_->Read("/big", 0, big).ok());
+  ASSERT_TRUE(fs_->Read("/small", 0, small).ok());
+  EXPECT_EQ(big, Pattern(kBigBytes, 3));
+  EXPECT_EQ(small, Pattern(kSmallBytes, 4));
 }
 
 TEST_F(VlfsTest, RandomizedWorkloadWithCrashes) {
