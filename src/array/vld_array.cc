@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <string>
 
 #include "src/core/map_sector.h"
 #include "src/obs/timeline.h"
@@ -306,6 +307,24 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
     }
   }
 
+  // Submission is all-or-nothing: a stripe-crossing request puts several runs on one member,
+  // so the batch may not fit a member queue even though it fit the array's. Count first, so a
+  // batch that cannot fit fails before any member queues a run the caller will see fail.
+  std::vector<size_t>& member_runs = member_runs_;
+  member_runs.assign(members_.size(), 0);
+  for (const Pending& p : batch) {
+    for (const Run& r : p.runs) {
+      ++member_runs[r.member];
+    }
+  }
+  for (uint32_t m = 0; m < members_.size(); ++m) {
+    if (member_runs[m] > members_[m]->queue_depth() - members_[m]->QueuedRequests()) {
+      return common::FailedPrecondition("array: batch needs " +
+                                        std::to_string(member_runs[m]) + " runs on member " +
+                                        std::to_string(m) + ", more than its queue has free");
+    }
+  }
+
   // Submit member runs in array submission order, so every member's local batch preserves the
   // array's hazard and RAW-forwarding semantics. Submission performs no media work.
   for (Pending& p : batch) {
@@ -328,19 +347,12 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
 
   // The cross-disk group commit: one FlushQueue — one queue batch, one packed virtual-log
   // commit — per touched member, however many array requests fanned out to it.
-  std::vector<bool>& touched = touched_;
-  touched.assign(members_.size(), false);
-  for (const Pending& p : batch) {
-    for (const Run& r : p.runs) {
-      touched[r.member] = true;
-    }
-  }
   std::vector<std::vector<core::Vld::QueuedCompletion>>& member_done = member_done_;
   member_done.resize(members_.size());
   common::Time barrier = now_;
   for (uint32_t m = 0; m < members_.size(); ++m) {
     member_done[m].clear();
-    if (!touched[m]) {
+    if (member_runs[m] == 0) {
       continue;
     }
     EnterMember(m);

@@ -183,7 +183,7 @@ class VldArray : public simdisk::BlockDevice {
   // spare, so there are never more than the queue depth of them.
   std::vector<Pending> batch_;
   std::vector<Pending> spare_;
-  std::vector<bool> touched_;
+  std::vector<size_t> member_runs_;  // Runs per member in the batch being flushed.
   std::vector<std::vector<core::Vld::QueuedCompletion>> member_done_;
   std::vector<size_t> member_cursor_;
   uint64_t next_id_ = 1;

@@ -48,17 +48,99 @@ const Tables& T() {
 
 #ifdef VLOG_CRC32C_SSE42
 // The SSE4.2 `crc32` instruction computes exactly this reflected CRC-32C step (without the
-// pre/post inversion), eight bytes per instruction. Compiled for SSE4.2 regardless of the
-// build's target flags; only called after the runtime CPU check below.
+// pre/post inversion), eight bytes per instruction. One instruction has a latency of three
+// cycles but a throughput of one per cycle, so a single dependent chain runs at a third of the
+// unit's speed. Long inputs therefore run as three interleaved chains over three adjacent
+// blocks of kLongBlock (then kShortBlock) bytes: the first chain continues the running CRC,
+// the other two start from zero. The raw (uninverted) CRC is linear, so appending a block B to
+// a state c gives Shift_|B|(c) ^ crc(0, B), where Shift_n feeds n zero bytes; one round ends
+// with c = Shift(Shift(c0) ^ c1) ^ c2. Shift_n is a GF(2)-linear map of the 32-bit state, so a
+// 4 x 256 table of its values on each byte lane applies it in four lookups. Inputs shorter
+// than one short round stay on one chain after a single compare (24-byte superblocks, 44-byte
+// record headers). The sizes come from per-size timings (EXPERIMENTS.md "NVM stage path").
+constexpr size_t kLongBlock = 1360;  // 4096-byte blocks: one long round plus a 16-byte tail.
+constexpr size_t kShortBlock = 168;  // 508-byte map sectors: one short round plus 4 bytes.
+constexpr size_t kMultiStreamCutoff = 3 * kShortBlock;
+
+struct ShiftTable {
+  std::array<std::array<uint32_t, 256>, 4> t{};
+};
+
+// One zero bit fed to the reflected state: multiplication by x modulo the polynomial.
+constexpr uint32_t MulX(uint32_t crc) { return (crc & 1) ? (crc >> 1) ^ kPolynomial : crc >> 1; }
+
+// The table of Shift_n: t[k][b] = Shift_n(b << 8k), built at compile time. Bit 31 of the
+// reflected state is x^0, so Shift_n(1 << 31) = x^(8n) is 8n zero bits; every lower bit is one
+// more factor of x, and Shift_n commutes with multiplication by x.
+constexpr ShiftTable BuildShiftTable(size_t n) {
+  std::array<uint32_t, 32> basis{};
+  basis[31] = uint32_t{1} << 31;
+  for (size_t i = 0; i < 8 * n; ++i) {
+    basis[31] = MulX(basis[31]);
+  }
+  for (int bit = 30; bit >= 0; --bit) {
+    basis[bit] = MulX(basis[bit + 1]);
+  }
+  ShiftTable table;
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      uint32_t v = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if ((b >> bit) & 1) {
+          v ^= basis[8 * k + bit];
+        }
+      }
+      table.t[k][b] = v;
+    }
+  }
+  return table;
+}
+
+constexpr ShiftTable kShiftLong = BuildShiftTable(kLongBlock);
+constexpr ShiftTable kShiftShort = BuildShiftTable(kShortBlock);
+
+inline uint64_t Shift(const ShiftTable& s, uint64_t crc) {
+  return s.t[0][crc & 0xff] ^ s.t[1][(crc >> 8) & 0xff] ^ s.t[2][(crc >> 16) & 0xff] ^
+         s.t[3][(crc >> 24) & 0xff];
+}
+
+inline uint64_t LoadWord(const std::byte* p) {
+  uint64_t word;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+// Folds every whole round of three `block`-byte blocks at p into crc; advances p and n.
+__attribute__((target("sse4.2"))) inline void ThreeStreamRounds(
+    const ShiftTable& shift, size_t block, const std::byte*& p, size_t& n, uint64_t& crc) {
+  while (n >= 3 * block) {
+    uint64_t c0 = crc;
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (const std::byte* end = p + block; p < end; p += 8) {
+      c0 = _mm_crc32_u64(c0, LoadWord(p));
+      c1 = _mm_crc32_u64(c1, LoadWord(p + block));
+      c2 = _mm_crc32_u64(c2, LoadWord(p + 2 * block));
+    }
+    crc = Shift(shift, Shift(shift, c0) ^ c1) ^ c2;
+    p += 2 * block;
+    n -= 3 * block;
+  }
+}
+
+// Compiled for SSE4.2 regardless of the build's target flags; only called after the runtime
+// CPU check below.
 __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(std::span<const std::byte> data,
                                                         uint32_t seed) {
   uint64_t crc = ~seed;
   const std::byte* p = data.data();
   size_t n = data.size();
+  if (n >= kMultiStreamCutoff) {
+    ThreeStreamRounds(kShiftLong, kLongBlock, p, n, crc);
+    ThreeStreamRounds(kShiftShort, kShortBlock, p, n, crc);
+  }
   while (n >= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    crc = _mm_crc32_u64(crc, word);
+    crc = _mm_crc32_u64(crc, LoadWord(p));
     p += 8;
     n -= 8;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <utility>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
@@ -30,6 +29,10 @@ NvmStage::NvmStage(simdisk::NvmDevice* nvm, simdisk::BlockDevice* backing, NvmSt
     : nvm_(nvm), backing_(backing), vld_(nullptr), config_(config),
       sector_bytes_(backing->SectorBytes()) {}
 
+bool NvmStage::InDevice(simdisk::Lba lba, uint64_t sectors) const {
+  return lba <= backing_->SectorCount() && sectors <= backing_->SectorCount() - lba;
+}
+
 common::Status NvmStage::CheckRange(simdisk::Lba lba, size_t bytes, const char* op) const {
   if (bytes == 0 || bytes % sector_bytes_ != 0) {
     return common::InvalidArgument(std::string(op) + ": size " + std::to_string(bytes) +
@@ -37,7 +40,7 @@ common::Status NvmStage::CheckRange(simdisk::Lba lba, size_t bytes, const char* 
                                    std::to_string(sector_bytes_));
   }
   const uint64_t sectors = bytes / sector_bytes_;
-  if (lba > backing_->SectorCount() || sectors > backing_->SectorCount() - lba) {
+  if (!InDevice(lba, sectors)) {
     return common::InvalidArgument(std::string(op) + ": range [" + std::to_string(lba) + ", +" +
                                    std::to_string(sectors) + ") exceeds device");
   }
@@ -75,7 +78,9 @@ common::Status NvmStage::ResetLog() {
 common::Status NvmStage::AppendRecord(uint32_t type, simdisk::Lba lba, uint64_t arg,
                                       std::span<const std::byte> payload) {
   const uint64_t total = RecordBytes(payload.size(), nvm_->cache_line_bytes());
-  record_buf_.assign(total, std::byte{0});
+  // Every header byte and payload byte is written below; only the cache-line padding after the
+  // payload needs zeroing.
+  record_buf_.resize(total);
   std::span<std::byte> rec(record_buf_);
   common::StoreLe<uint32_t>(rec, 0, kRecordMagic);
   common::StoreLe<uint32_t>(rec, 4, type);
@@ -89,6 +94,9 @@ common::Status NvmStage::AppendRecord(uint32_t type, simdisk::Lba lba, uint64_t 
   if (!payload.empty()) {
     std::memcpy(record_buf_.data() + kHeaderBytes, payload.data(), payload.size());
   }
+  std::memset(record_buf_.data() + kHeaderBytes + payload.size(), 0,
+              total - kHeaderBytes - payload.size());
+  // One write per record: the NVM charge and the crash-sweep NVM trace are per WriteBytes.
   RETURN_IF_ERROR(nvm_->WriteBytes(tail_, record_buf_));
   ++seq_;
   records_.push_back(LogRecord{seq_, lba,
@@ -108,8 +116,7 @@ common::Status NvmStage::StagePut(simdisk::Lba lba, std::span<const std::byte> i
   const uint64_t record_offset = tail_;
   RETURN_IF_ERROR(AppendRecord(kTypeData, lba, in.size(), in));
   for (uint64_t s = 0; s < sectors; ++s) {
-    overlay_[lba + s] =
-        OverlaySector{seq_, record_offset + kHeaderBytes + s * sector_bytes_};
+    overlay_.Put(lba + s, seq_, record_offset + kHeaderBytes + s * sector_bytes_);
   }
   ++stats_.staged_writes;
   stats_.staged_bytes += in.size();
@@ -134,32 +141,30 @@ common::Status NvmStage::AppendInvalidate(simdisk::Lba lba, uint64_t sectors) {
   return common::OkStatus();
 }
 
-common::Status NvmStage::DestageSectors(
-    const std::vector<std::pair<simdisk::Lba, uint64_t>>& live) {
+common::Status NvmStage::DestageSectors(std::span<const NvmSectorIndex::Entry> live) {
   // Coalesce into contiguous-LBA runs; a run's payload is gathered from the NVM copies (one
   // charged read per contiguous NVM extent inside the run).
-  std::vector<std::byte> run;
   size_t i = 0;
   while (i < live.size()) {
     size_t j = i + 1;
-    while (j < live.size() && live[j].first == live[j - 1].first + 1) {
+    while (j < live.size() && live[j].lba == live[j - 1].lba + 1) {
       ++j;
     }
     const uint64_t run_sectors = j - i;
-    run.resize(run_sectors * sector_bytes_);
+    run_.resize(run_sectors * sector_bytes_);
     size_t k = i;
     while (k < j) {
       size_t m = k + 1;
-      while (m < j && live[m].second == live[m - 1].second + sector_bytes_) {
+      while (m < j && live[m].offset == live[m - 1].offset + sector_bytes_) {
         ++m;
       }
       RETURN_IF_ERROR(nvm_->ReadBytes(
-          live[k].second,
-          std::span<std::byte>(run).subspan((k - i) * sector_bytes_,
-                                            (m - k) * sector_bytes_)));
+          live[k].offset,
+          std::span<std::byte>(run_).subspan((k - i) * sector_bytes_,
+                                             (m - k) * sector_bytes_)));
       k = m;
     }
-    RETURN_IF_ERROR(backing_->Write(live[i].first, run));
+    RETURN_IF_ERROR(backing_->Write(live[i].lba, run_));
     stats_.destaged_sectors += run_sectors;
     i = j;
   }
@@ -167,11 +172,8 @@ common::Status NvmStage::DestageSectors(
 }
 
 common::Status NvmStage::ResolveConflicts(simdisk::Lba lba, uint64_t sectors) {
-  std::vector<std::pair<simdisk::Lba, uint64_t>> hit;
-  for (auto it = overlay_.lower_bound(lba); it != overlay_.end() && it->first < lba + sectors;
-       ++it) {
-    hit.emplace_back(it->first, it->second.offset);
-  }
+  std::vector<NvmSectorIndex::Entry>& hit = hit_;
+  overlay_.Range(lba, sectors, hit);
   if (hit.empty()) {
     return common::OkStatus();
   }
@@ -180,8 +182,8 @@ common::Status NvmStage::ResolveConflicts(simdisk::Lba lba, uint64_t sectors) {
   RETURN_IF_ERROR(DestageSectors(hit));
   RETURN_IF_ERROR(backing_->Flush());
   RETURN_IF_ERROR(AppendInvalidate(lba, sectors));
-  for (const auto& [sector, offset] : hit) {
-    overlay_.erase(sector);
+  for (const NvmSectorIndex::Entry& e : hit) {
+    overlay_.Erase(e.lba);
   }
   stats_.conflict_destages += hit.size();
   return common::OkStatus();
@@ -205,11 +207,8 @@ common::Status NvmStage::Read(simdisk::Lba lba, std::span<std::byte> out) {
   RETURN_IF_ERROR(CheckRange(lba, out.size(), "NvmStage::Read"));
   const uint64_t sectors = out.size() / sector_bytes_;
   obs::SpanScope span(tracer_, obs::Layer::kNvm, lba, sectors, obs::SpanKind::kRead);
-  std::vector<std::pair<simdisk::Lba, uint64_t>> hit;
-  for (auto it = overlay_.lower_bound(lba); it != overlay_.end() && it->first < lba + sectors;
-       ++it) {
-    hit.emplace_back(it->first, it->second.offset);
-  }
+  std::vector<NvmSectorIndex::Entry>& hit = hit_;
+  overlay_.Range(lba, sectors, hit);
   if (hit.size() < sectors) {
     // Some sectors live on the backing device; read the whole range there and patch the
     // staged sectors over it (the backing copy of a staged sector may be stale).
@@ -219,12 +218,12 @@ common::Status NvmStage::Read(simdisk::Lba lba, std::span<std::byte> out) {
   while (i < hit.size()) {
     // One charged NVM read per contiguous (sector, offset) run.
     size_t j = i + 1;
-    while (j < hit.size() && hit[j].first == hit[j - 1].first + 1 &&
-           hit[j].second == hit[j - 1].second + sector_bytes_) {
+    while (j < hit.size() && hit[j].lba == hit[j - 1].lba + 1 &&
+           hit[j].offset == hit[j - 1].offset + sector_bytes_) {
       ++j;
     }
     RETURN_IF_ERROR(nvm_->ReadBytes(
-        hit[i].second, out.subspan((hit[i].first - lba) * sector_bytes_,
+        hit[i].offset, out.subspan((hit[i].lba - lba) * sector_bytes_,
                                    (j - i) * sector_bytes_)));
     i = j;
   }
@@ -243,33 +242,29 @@ common::StatusOr<uint64_t> NvmStage::DestageStep() {
     tracer_->Annotate(obs::EventType::kNvmDestageStart, obs::Layer::kNvm, records_.size(), 0);
   }
   // Live sectors owned by the batch's records, ascending by LBA for run coalescing.
-  std::vector<std::pair<simdisk::Lba, uint64_t>> live;
-  uint64_t min_seq_kept = 0;
-  {
-    uint64_t max_seq = 0;
-    for (uint64_t r = 0; r < batch; ++r) {
-      max_seq = std::max(max_seq, records_[r].seq);
-    }
-    min_seq_kept = max_seq;
-  }
+  std::vector<NvmSectorIndex::Entry>& live = live_;
+  live.clear();
   for (uint64_t r = 0; r < batch; ++r) {
     const LogRecord& rec = records_[r];
     for (uint64_t s = 0; s < rec.sectors; ++s) {
-      const auto it = overlay_.find(rec.lba + s);
-      if (it != overlay_.end() && it->second.seq == rec.seq) {
-        live.emplace_back(it->first, it->second.offset);
+      const NvmSectorIndex::Entry* e = overlay_.Find(rec.lba + s);
+      if (e != nullptr && e->seq == rec.seq) {
+        live.push_back(*e);
       }
     }
   }
-  std::sort(live.begin(), live.end());
-  uint64_t destaged_sectors = live.size();
+  std::sort(live.begin(), live.end(),
+            [](const NvmSectorIndex::Entry& a, const NvmSectorIndex::Entry& b) {
+              return a.lba < b.lba;
+            });
+  const uint64_t destaged_sectors = live.size();
   if (!live.empty()) {
     RETURN_IF_ERROR(DestageSectors(live));
     // The destaged bytes must be durable on the backing device before the head advance lets
     // the log forget them (invariant 2 in the header).
     RETURN_IF_ERROR(backing_->Flush());
-    for (const auto& [sector, offset] : live) {
-      overlay_.erase(sector);
+    for (const NvmSectorIndex::Entry& e : live) {
+      overlay_.Erase(e.lba);
     }
   }
   for (uint64_t r = 0; r < batch; ++r) {
@@ -287,7 +282,6 @@ common::StatusOr<uint64_t> NvmStage::DestageStep() {
     tracer_->Annotate(obs::EventType::kNvmDestageEnd, obs::Layer::kNvm, batch,
                       destaged_sectors);
   }
-  (void)min_seq_kept;
   return batch;
 }
 
@@ -418,7 +412,7 @@ common::StatusOr<NvmStageRecoveryInfo> NvmStage::Recover() {
     if (type == kTypeData) {
       if (arg == 0 || arg % sector_bytes_ != 0 ||
           RecordBytes(arg, nvm_->cache_line_bytes()) > size - off ||
-          lba + arg / sector_bytes_ > backing_->SectorCount()) {
+          !InDevice(lba, arg / sector_bytes_)) {
         break;
       }
       payload.resize(arg);
@@ -434,18 +428,21 @@ common::StatusOr<NvmStageRecoveryInfo> NvmStage::Recover() {
       seq_ = seq;
       records_.push_back(LogRecord{seq_, lba, sectors, off, total});
       for (uint64_t s = 0; s < sectors; ++s) {
-        overlay_[lba + s] = OverlaySector{seq_, off + kHeaderBytes + s * sector_bytes_};
+        overlay_.Put(lba + s, seq_, off + kHeaderBytes + s * sector_bytes_);
       }
       ++info.data_records;
       off += total;
     } else {
-      if (lba + arg > backing_->SectorCount() || payload_crc != 0) {
+      if (!InDevice(lba, arg) || payload_crc != 0) {
         break;
       }
       const uint64_t total = RecordBytes(0, nvm_->cache_line_bytes());
       seq_ = seq;
       records_.push_back(LogRecord{seq_, lba, 0, off, total});
-      overlay_.erase(overlay_.lower_bound(lba), overlay_.lower_bound(lba + arg));
+      overlay_.Range(lba, arg, hit_);
+      for (const NvmSectorIndex::Entry& e : hit_) {
+        overlay_.Erase(e.lba);
+      }
       ++info.invalidate_records;
       off += total;
     }

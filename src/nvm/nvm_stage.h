@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/core/vld.h"
+#include "src/nvm/sector_index.h"
 #include "src/obs/trace.h"
 #include "src/simdisk/block_device.h"
 #include "src/simdisk/nvm_device.h"
@@ -166,21 +166,20 @@ class NvmStage : public simdisk::BlockDevice {
     uint64_t offset = 0;      // NVM byte offset of the record header.
     uint64_t total_bytes = 0; // Header + padded payload.
   };
-  struct OverlaySector {
-    uint64_t seq = 0;     // Owning record; stale copies in older records are dead.
-    uint64_t offset = 0;  // NVM byte offset of this sector's payload bytes.
-  };
 
   common::Status CheckRange(simdisk::Lba lba, size_t bytes, const char* op) const;
+  // Whether [lba, lba + sectors) lies on the backing device, without overflow: recovery reads
+  // both from NVM records, and the overlay index cannot hold the LBA ~0.
+  bool InDevice(simdisk::Lba lba, uint64_t sectors) const;
   // Absorbs one small sync write: one CRC-protected NVM append + overlay update.
   common::Status StagePut(simdisk::Lba lba, std::span<const std::byte> in);
   // Direct-path conflict protocol over [lba, lba+sectors): synchronously destages overlapping
   // staged sectors, flushes the backing device, appends an invalidate record, and drops the
   // overlay entries. No-op when nothing overlaps.
   common::Status ResolveConflicts(simdisk::Lba lba, uint64_t sectors);
-  // Writes `live` (sector -> NVM payload offset, ascending) to the backing device as
-  // coalesced contiguous runs. Does NOT flush or touch the overlay.
-  common::Status DestageSectors(const std::vector<std::pair<simdisk::Lba, uint64_t>>& live);
+  // Writes `live` (staged sectors ascending by LBA) to the backing device as coalesced
+  // contiguous runs. Does NOT flush or touch the overlay.
+  common::Status DestageSectors(std::span<const NvmSectorIndex::Entry> live);
   // Retires up to destage_batch_records oldest records: destage live sectors, Flush, advance
   // the persisted head (and reset the log when it empties). Returns records retired.
   common::StatusOr<uint64_t> DestageStep();
@@ -203,8 +202,14 @@ class NvmStage : public simdisk::BlockDevice {
   uint64_t head_ = kSuperblockBytes;  // First live record byte (persisted in the superblock).
   uint64_t tail_ = kSuperblockBytes;  // Next append offset (recovered by scanning from head).
   std::deque<LogRecord> records_;     // Live records, oldest first, contiguous [head_, tail_).
-  std::map<simdisk::Lba, OverlaySector> overlay_;  // Staged sector -> newest NVM copy.
-  std::vector<std::byte> record_buf_;  // Reused append scratch.
+  NvmSectorIndex overlay_;            // Staged sector -> newest NVM copy.
+  // Scratch reused across calls: the record being appended, the overlay entries a read or a
+  // conflict range hits, the live sectors of a destage batch (kept apart from hit_: a conflict's
+  // invalidate append may drain), and the run being gathered for a destage write.
+  std::vector<std::byte> record_buf_;
+  std::vector<NvmSectorIndex::Entry> hit_;
+  std::vector<NvmSectorIndex::Entry> live_;
+  std::vector<std::byte> run_;
   NvmStageStats stats_;
 };
 

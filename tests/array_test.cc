@@ -215,6 +215,47 @@ TEST(VldArrayTest, QueuedBatchCommitsOncePerMember) {
   }
 }
 
+// A batch that fits the array's queue can still overflow a member's: each 4-chunk write puts
+// two runs on each member of a stripe-1 pair, so 12 of them need 24 slots of 16. The flush must
+// fail before any member queues a run, so no later flush commits a write the caller saw fail.
+TEST(VldArrayTest, FlushThatOverflowsAMemberQueueSubmitsNothing) {
+  auto stacks = MakeStacks(2, {.queue_depth = 16});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
+  ASSERT_TRUE(array.Format().ok());
+  const uint64_t chunk = array.chunk_sectors();
+  const size_t write_bytes = 4 * chunk * 512;
+  for (uint32_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(array.SubmitWrite(i * 4 * chunk, Pattern(write_bytes, i)).ok());
+  }
+  auto failed = array.FlushQueue();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), common::StatusCode::kFailedPrecondition);
+  for (uint32_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(stacks[m]->vld->QueuedRequests(), 0u) << "member " << m;
+  }
+  EXPECT_EQ(array.QueuedRequests(), 0u);
+
+  // The next batch commits only its own write.
+  const uint64_t later_lba = 48 * chunk;
+  auto id = array.SubmitWrite(later_lba, Pattern(chunk * 512, 99));
+  ASSERT_TRUE(id.ok());
+  auto done = array.FlushQueue();
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->size(), 1u);
+  EXPECT_EQ((*done)[0].id, *id);
+  for (uint32_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(stacks[m]->vld->stats().queued_writes, m == 0 ? 1u : 0u) << "member " << m;
+  }
+  for (uint32_t i = 0; i < 12; ++i) {
+    std::vector<std::byte> out(write_bytes);
+    ASSERT_TRUE(array.Read(i * 4 * chunk, out).ok());
+    EXPECT_NE(out, Pattern(write_bytes, i)) << "failed write " << i << " was committed";
+  }
+  std::vector<std::byte> out(chunk * 512);
+  ASSERT_TRUE(array.Read(later_lba, out).ok());
+  EXPECT_EQ(out, Pattern(chunk * 512, 99));
+}
+
 // Array requests and their payload buffers are recycled across batches, and a read served by
 // one member run takes that member's buffer as its own. After a batch of long writes, shorter
 // writes and reads (same-batch RAW, within one chunk and across chunks) must each carry exactly

@@ -96,10 +96,25 @@ TEST(Crc32, EmptyIsZero) { EXPECT_EQ(Crc32c({}), 0u); }
 
 // Crc32c dispatches to the SSE4.2 instruction where the CPU has it; every on-disk CRC must
 // still equal the portable slicing-by-8 result. Covers every length through two sectors, each
-// start alignment within a word, and chained seeds.
+// start alignment within a word, and chained seeds. From 504 bytes the hardware path runs three
+// interleaved streams over 1,360-byte and then 168-byte blocks, so the longer lengths sit on and
+// around every round boundary: one, two and three long rounds, long rounds followed by short
+// ones, and odd tails after each, through 8 KiB + 7 (4,096 and 4,144 included).
 TEST(Crc32, MatchesPortablePath) {
-  constexpr size_t kMaxLen = 1024;
+  constexpr size_t kLong = 3 * 1360;
+  constexpr size_t kShort = 3 * 168;
+  constexpr size_t kMaxLen = 4 * kLong + kShort + 5;
   constexpr size_t kMaxOffset = 7;
+  std::vector<size_t> lengths = {4096, 4144, 8192 + 7, 3 * kLong + 13, kMaxLen};
+  for (size_t len = 0; len <= 1024; ++len) {
+    lengths.push_back(len);
+  }
+  for (const size_t base : {kLong, kLong + kShort, 2 * kLong, 2 * kLong + 2 * kShort, 3 * kLong}) {
+    for (size_t d = 0; d <= 9; ++d) {
+      lengths.push_back(base + d);
+      lengths.push_back(base - 1 - d);
+    }
+  }
   Rng rng(42);
   std::vector<std::byte> buf(kMaxLen + kMaxOffset);
   for (std::byte& b : buf) {
@@ -107,7 +122,7 @@ TEST(Crc32, MatchesPortablePath) {
   }
   for (const uint32_t seed : {0u, 1u, 0xdeadbeefu}) {
     for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
-      for (size_t len = 0; len <= kMaxLen; ++len) {
+      for (const size_t len : lengths) {
         const std::span<const std::byte> data(buf.data() + offset, len);
         ASSERT_EQ(Crc32c(data, seed), internal::Crc32cPortable(data, seed))
             << "seed " << seed << " offset " << offset << " len " << len;

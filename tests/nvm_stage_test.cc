@@ -6,9 +6,12 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/core/vld.h"
 #include "src/nvm/nvm_stage.h"
@@ -341,6 +344,33 @@ TEST_F(NvmStageTest, PayloadCorruptionDropsTheDamagedRecordAndItsSuffix) {
       ASSERT_TRUE(stage2->Read(i * 8, out).ok());
       EXPECT_EQ(out, Pattern(kSectorBytes, 100 + i)) << "victim " << victim << " record " << i;
     }
+  }
+}
+
+// A record whose CRCs are valid but whose LBA range runs past the top of the 64-bit LBA space
+// (so lba + count wraps to a small number) is not a record of this device: recovery ends the
+// log there instead of replaying it. Covers a data record at LBA ~0 and an invalidate record
+// whose range wraps.
+TEST_F(NvmStageTest, RecoverStopsAtRecordRangesThatWrapTheLbaSpace) {
+  ASSERT_TRUE(stage_->Write(200, Pattern(kSectorBytes, 1)).ok());
+  ASSERT_TRUE(stage_->Write(300, Pattern(kSectorBytes, 2)).ok());
+  ASSERT_TRUE(stage_->Write(300, Pattern(kSectorBytes * 9, 3)).ok());  // Direct: invalidate.
+  const uint64_t data_total = NvmStage::RecordBytes(kSectorBytes, nvm_params_.cache_line_bytes);
+  const uint64_t second = NvmStage::kSuperblockBytes + data_total;
+  const uint64_t invalidate = second + data_total;
+  for (const auto& [offset, lba] : {std::pair{second, ~uint64_t{0}},
+                                    std::pair{invalidate, ~uint64_t{0} - 3}}) {
+    auto image = nvm_->Snapshot();
+    const std::span<std::byte> header(image.data() + offset, NvmStage::kHeaderBytes);
+    common::StoreLe<uint64_t>(header, 24, lba);
+    common::StoreLe<uint32_t>(header, 44, common::Crc32c(header.first(44)));
+    auto [nvm2, stage2] = Reopen(std::move(image));
+    auto info = stage2->Recover();
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->data_records, offset == second ? 1u : 2u) << "offset " << offset;
+    EXPECT_EQ(info->invalidate_records, 0u) << "offset " << offset;
+    EXPECT_EQ(info->staged_sectors, offset == second ? 1u : 2u) << "offset " << offset;
+    EXPECT_FALSE(info->torn_tail_dropped) << "offset " << offset;
   }
 }
 
