@@ -18,6 +18,7 @@
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
 #include "src/workload/array_sweep.h"
+#include "src/workload/queue_sweep.h"
 
 namespace {
 
@@ -89,18 +90,18 @@ int main(int argc, char** argv) {
     obs::WindowedHistogram* latency = nullptr;
     if (n == 2) {
       timeline = std::make_unique<obs::Timeline>(obs::TimelineConfig{
-          .window = common::Milliseconds(100), .start = array.now()});
+          .window = common::Milliseconds(100), .start = array.Now()});
       latency = &timeline->AddHistogram("latency");
       array.RegisterTimelineProbes(*timeline);
       timeline->AddSteadySeries("m0.vld.free_blocks");
       timeline->AddSteadySeries("m1.vld.free_blocks");
     }
-    const workload::ArraySweepResult r = bench::CheckOk(
-        workload::RunArrayRandomUpdates(array, kDepth, updates, warmup, kSeed, region_blocks,
-                                        timeline.get(), latency),
+    const workload::QueueDepthResult r = bench::CheckOk(
+        workload::RunClosedLoopUpdates(array, kDepth, updates, warmup, kSeed, region_blocks,
+                                       /*tracer=*/nullptr, timeline.get(), latency),
         "striped sweep");
     if (timeline != nullptr) {
-      timeline->Finish(array.now());
+      timeline->Finish(array.Now());
       array_timeline_json = timeline->Json();
       array_windows = timeline->windows().size();
     }
@@ -124,9 +125,9 @@ int main(int argc, char** argv) {
   {
     auto stacks = MakeStacks(1);
     bench::Check(stacks[0]->vld->Format(), "bare format");
-    const workload::ArraySweepResult r = bench::CheckOk(
-        workload::RunArrayRandomUpdates(*stacks[0]->vld, kDepth, updates, warmup, kSeed,
-                                        region_blocks),
+    const workload::QueueDepthResult r = bench::CheckOk(
+        workload::RunClosedLoopUpdates(*stacks[0]->vld, kDepth, updates, warmup, kSeed,
+                                       region_blocks),
         "bare sweep");
     bench::PrintPercentileRow("bare-vld", r.iops, r.latency_hist);
     report.AddRow("bare-vld", r.iops, r.latency_hist, obs::TimeBreakdown{},

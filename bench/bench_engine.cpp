@@ -41,7 +41,6 @@
 #include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
-#include "src/workload/array_sweep.h"
 #include "src/workload/queue_sweep.h"
 
 namespace {
@@ -164,14 +163,14 @@ int main(int argc, char** argv) {
     const uint32_t region_blocks =
         static_cast<uint32_t>(array.SectorCount() / array.block_sectors()) / 2;
     const auto t0 = std::chrono::steady_clock::now();
-    const workload::ArraySweepResult r = bench::CheckOk(
-        workload::RunArrayRandomUpdates(array, 16, updates, updates / 10, kSeed, region_blocks),
+    const workload::QueueDepthResult r = bench::CheckOk(
+        workload::RunClosedLoopUpdates(array, 16, updates, updates / 10, kSeed, region_blocks),
         "array leg");
     const double wall = Seconds(std::chrono::steady_clock::now() - t0);
-    const double rate = wall > 0 ? static_cast<double>(r.updates) / wall : 0;
-    PrintRate("array", static_cast<double>(r.updates), "ops", wall);
+    const double rate = wall > 0 ? static_cast<double>(r.requests) / wall : 0;
+    PrintRate("array", static_cast<double>(r.requests), "ops", wall);
     report.AddRow("array", r.iops, r.latency_hist, obs::TimeBreakdown{},
-                  {{"ops", static_cast<double>(r.updates)},
+                  {{"ops", static_cast<double>(r.requests)},
                    {"wall_seconds", wall},
                    {"ops_per_wall_s", rate},
                    {"members", 8.0}});

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,7 +111,8 @@ OpenLoopLeg RunOpenLoopLeg(const workload::OpenLoopOptions& options, common::Dur
   bench::Check(vld.Format(), "format");
   OpenLoopLeg leg;
   if (!observed) {
-    leg.result = bench::CheckOk(workload::RunOpenLoopPoisson(vld, options), "open loop bare");
+    leg.result = bench::CheckOk(
+        workload::RunGovernedOpenLoop(vld, options, /*governor=*/nullptr), "open loop bare");
     leg.final_time = clock.Now();
     return leg;
   }
@@ -127,7 +127,8 @@ OpenLoopLeg RunOpenLoopLeg(const workload::OpenLoopOptions& options, common::Dur
   timeline.AddSteadySeries("p99:latency");
   timeline.ConfigureSteadyState(6, 0.15);
   leg.result =
-      bench::CheckOk(workload::RunOpenLoopPoisson(vld, options, &timeline, &latency),
+      bench::CheckOk(workload::RunGovernedOpenLoop(vld, options, /*governor=*/nullptr,
+                                                   &timeline, &latency),
                      "open loop");
   timeline.Finish(clock.Now());
   leg.final_time = clock.Now();
@@ -283,30 +284,27 @@ NvmLeg RunNvmLeg(NvmLegKind kind, int updates, int warmup) {
   std::unique_ptr<core::Vld> vld;
   std::unique_ptr<simdisk::NvmDevice> nvm;
   std::unique_ptr<core::NvmStage> stage;
-  uint32_t blocks = 0;
+  // The device the writes go to: the VLD, the raw disk (naive in-place placement) under the
+  // stage, then the stage itself when there is one.
+  simdisk::BlockDevice* front = &disk;
   if (kind == NvmLegKind::kEagerOnly || kind == NvmLegKind::kNvmOverEager) {
     vld = std::make_unique<core::Vld>(&disk, core::VldConfig{.queue_depth = 32});
     bench::Check(vld->Format(), "format");
-    blocks = vld->logical_blocks() / 2;
-  } else {
-    blocks = static_cast<uint32_t>(disk.SectorCount() / 8 / 2);
+    front = vld.get();
   }
+  const uint32_t blocks = static_cast<uint32_t>(front->SectorCount() / 8 / 2);
   if (kind != NvmLegKind::kEagerOnly) {
     nvm = std::make_unique<simdisk::NvmDevice>(simdisk::NvmDeviceParams{}, &clock);
-    stage = kind == NvmLegKind::kNvmOverEager
-                ? std::make_unique<core::NvmStage>(nvm.get(), vld.get())
-                : std::make_unique<core::NvmStage>(nvm.get(),
-                                                   static_cast<simdisk::BlockDevice*>(&disk));
+    stage = std::make_unique<core::NvmStage>(nvm.get(), front);
     bench::Check(stage->Format(), "stage format");
     stage->set_tracer(&tracer);
+    front = stage.get();
   }
-  auto write = [&](simdisk::Lba lba, std::span<const std::byte> in) {
-    return stage != nullptr ? stage->Write(lba, in) : vld->Write(lba, in);
-  };
   common::Rng rng(kSeed);
   std::vector<std::byte> payload(4096, std::byte{0x3C});
   for (int i = 0; i < warmup; ++i) {
-    bench::Check(write(static_cast<simdisk::Lba>(rng.Below(blocks)) * 8, payload), "warmup");
+    bench::Check(front->Write(static_cast<simdisk::Lba>(rng.Below(blocks)) * 8, payload),
+                 "warmup");
     if (stage != nullptr && i % 8 == 7) {
       bench::CheckOk(stage->RunDestageBurst(common::Milliseconds(30)), "warmup destage");
     }
@@ -315,7 +313,8 @@ NvmLeg RunNvmLeg(NvmLegKind kind, int updates, int warmup) {
   const common::Time start = clock.Now();
   for (int i = 0; i < updates; ++i) {
     const common::Time t0 = clock.Now();
-    bench::Check(write(static_cast<simdisk::Lba>(rng.Below(blocks)) * 8, payload), "update");
+    bench::Check(front->Write(static_cast<simdisk::Lba>(rng.Below(blocks)) * 8, payload),
+                 "update");
     leg.ack_hist.Record(static_cast<uint64_t>(clock.Now() - t0));
     // The duty cycle: one burst per 8 staged writes retires at least one 8-record batch, so
     // the log stays ahead of the offered load without ever blocking an ack.
@@ -422,17 +421,17 @@ int main(int argc, char** argv) {
     obs::TraceRecorder tracer(&clock);
     disk.set_tracer(&tracer);
     const workload::QueueDepthResult r = bench::CheckOk(
-        workload::RunQueuedRandomUpdates(vld, depth, updates, warmup, kSeed), "sweep");
+        workload::RunClosedLoopUpdates(vld, depth, updates, warmup, kSeed, 0, &tracer), "sweep");
     char label[32];
     std::snprintf(label, sizeof(label), "depth=%u", depth);
     bench::PrintPercentileRow(label, r.iops, r.latency_hist);
     std::printf("%-16s queueing %.3f ms/req, controller %.3f, seek %.3f, rotation %.3f, "
                 "transfer %.3f\n",
-                "", bench::Ms(r.breakdown.queueing / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.controller / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.seek / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.rotation / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.transfer / static_cast<common::Duration>(r.updates)));
+                "", bench::Ms(r.breakdown.queueing / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.controller / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.seek / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.rotation / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.transfer / static_cast<common::Duration>(r.requests)));
     report.AddRow(label, r.iops, r.latency_hist, r.breakdown,
                   {{"depth", static_cast<double>(depth)},
                    {"mean_queue_delay_us", static_cast<double>(r.mean_queue_delay) / 1000.0}});
@@ -469,15 +468,16 @@ int main(int argc, char** argv) {
     obs::TraceRecorder tracer(&clock);
     disk.set_tracer(&tracer);
     const workload::QueueDepthResult r = bench::CheckOk(
-        workload::RunQueuedRandomUpdates(vld, depth, updates, warmup, kSeed), "cached sweep");
+        workload::RunClosedLoopUpdates(vld, depth, updates, warmup, kSeed, 0, &tracer),
+        "cached sweep");
     char label[32];
     std::snprintf(label, sizeof(label), "depth=%u+wbc", depth);
     bench::PrintPercentileRow(label, r.iops, r.latency_hist);
     std::printf("%-16s queueing %.3f ms/req, controller %.3f, transfer %.3f, flush %.3f\n", "",
-                bench::Ms(r.breakdown.queueing / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.controller / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.transfer / static_cast<common::Duration>(r.updates)),
-                bench::Ms(r.breakdown.flush / static_cast<common::Duration>(r.updates)));
+                bench::Ms(r.breakdown.queueing / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.controller / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.transfer / static_cast<common::Duration>(r.requests)),
+                bench::Ms(r.breakdown.flush / static_cast<common::Duration>(r.requests)));
     report.AddRow(label, r.iops, r.latency_hist, r.breakdown,
                   {{"depth", static_cast<double>(depth)},
                    {"cache_sectors", static_cast<double>(params.cache.capacity_sectors)},

@@ -39,6 +39,13 @@ if [ -x build/bench/bench_queue_depth ]; then
   ./build/bench/bench_queue_depth --nvm --smoke --json=BENCH_queue_depth_nvm.json
 fi
 
+# Crash sweep: every scenario write-through and on the cached (reordering) disk, with 0
+# violations required; its summary JSON is CI's BENCH_crash_sweep.json artifact.
+if [ -x build/bench/bench_crashsim ]; then
+  echo "=== bench smoke: crash sweep ==="
+  ./build/bench/bench_crashsim --smoke --json=BENCH_crash_sweep.json
+fi
+
 # Staged crash sweep: the kNvmStagedWrites scenario through the NVM-staged VldCrashSim, which
 # replays the crash-state matrix {NVM intact, NVM torn-tail} x every disk crash point. Zero
 # violations required; the ctest suite already sweeps all other scenarios staged.

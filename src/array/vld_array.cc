@@ -347,7 +347,7 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
 
   // The cross-disk group commit: one FlushQueue — one queue batch, one packed virtual-log
   // commit — per touched member, however many array requests fanned out to it.
-  std::vector<std::vector<core::Vld::QueuedCompletion>>& member_done = member_done_;
+  std::vector<std::vector<QueuedCompletion>>& member_done = member_done_;
   member_done.resize(members_.size());
   common::Time barrier = now_;
   for (uint32_t m = 0; m < members_.size(); ++m) {
@@ -383,7 +383,7 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
     }
     for (size_t j = 0; j < p.runs.size(); ++j) {
       const Run& r = p.runs[j];
-      std::vector<core::Vld::QueuedCompletion>& done = member_done[r.member];
+      std::vector<QueuedCompletion>& done = member_done[r.member];
       size_t& k = cursor[r.member];
       while (k < done.size() && done[k].id != p.run_ids[j]) {
         ++k;  // A member request the array did not submit in this batch.
@@ -391,7 +391,7 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
       if (k == done.size()) {
         return common::IoError("array: member completion missing");
       }
-      core::Vld::QueuedCompletion& mc = done[k++];
+      QueuedCompletion& mc = done[k++];
       c.complete_time = std::max(c.complete_time, mc.complete_time);
       c.dispatch_time = j == 0 ? mc.dispatch_time : std::min(c.dispatch_time, mc.dispatch_time);
       member_hist_[r.member].Record(mc.complete_time - mc.submit_time);

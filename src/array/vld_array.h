@@ -66,7 +66,7 @@ struct ArrayRecoveryInfo {
   uint64_t trimmed_blocks = 0;    // Mirrored: stale replica blocks trimmed away.
 };
 
-class VldArray : public simdisk::BlockDevice {
+class VldArray final : public simdisk::BlockDevice {
  public:
   // Non-owning: the members (and their disks and clocks) outlive the array. All members must
   // share block_sectors; member queue depths should be at least the array's total queue depth,
@@ -85,28 +85,24 @@ class VldArray : public simdisk::BlockDevice {
   uint64_t SectorCount() const override;
   uint32_t SectorBytes() const override;
 
+  // Array time: the max finish time of any fan-out so far (the cross-disk barrier).
+  common::Time Now() const override { return now_; }
+
   // --- Queued I/O (cross-disk group commit) ---
 
-  struct QueuedCompletion {
-    uint64_t id = 0;
-    bool is_write = true;
-    simdisk::Lba lba = 0;
-    common::Time submit_time = 0;
-    // Writes: the cross-disk barrier — when the *last* touched member's packed map commit
-    // reached its media. Reads: when the last member run's data was assembled.
-    common::Time complete_time = 0;
-    common::Time dispatch_time = 0;  // When the first member run's controller work finished.
-    std::vector<std::byte> data;     // Read payload (empty for writes).
-    common::Duration Latency() const { return complete_time - submit_time; }
-  };
-  common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);
-  common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
+  // Writes complete at the cross-disk barrier: when the *last* touched member's packed map
+  // commit reached its media. Reads complete when the last member run's data was assembled;
+  // dispatch_time is when the first member run's controller work finished.
+  using QueuedCompletion = simdisk::QueuedCompletion;
+  common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba,
+                                         std::span<const std::byte> in) override;
+  common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors) override;
   // Splits every queued request into member runs, submits them in array submission order, then
   // flushes each touched member once — one queue batch (one packed group commit) per member.
   // Completions are returned in array submission order.
-  common::StatusOr<std::vector<QueuedCompletion>> FlushQueue();
-  size_t QueuedRequests() const { return queue_.size(); }
-  uint32_t queue_depth() const { return queue_depth_; }
+  common::StatusOr<std::vector<QueuedCompletion>> FlushQueue() override;
+  size_t QueuedRequests() const override { return queue_.size(); }
+  uint32_t queue_depth() const override { return queue_depth_; }
 
   // --- Mirroring / degraded mode ---
 
@@ -126,14 +122,14 @@ class VldArray : public simdisk::BlockDevice {
   core::Vld& member(uint32_t i) { return *members_[i]; }
   uint32_t block_sectors() const { return block_sectors_; }
   uint64_t chunk_sectors() const { return chunk_sectors_; }
-  common::Time now() const { return now_; }
+  common::Time now() const { return now_; }  // Now(); perfbench/ reads it under this name.
   // Latencies of completed queued array requests, and of the member runs they fanned out to.
   const obs::LatencyHistogram& latency_hist() const { return latency_hist_; }
   const obs::LatencyHistogram& member_hist(uint32_t i) const { return member_hist_[i]; }
 
   // Registers array-level gauges plus every member's VLD and disk probes, each member under
   // prefix "m<i>." — so a two-member array exposes m0.vld.free_blocks, m1.disk.sectors_written,
-  // and so on. Drive the timeline with Poll(array.now()). Pure reads; never advances any clock.
+  // and so on. Drive the timeline with Poll(array.Now()). Pure reads; never advances any clock.
   void RegisterTimelineProbes(obs::Timeline& timeline) const;
 
  private:
@@ -184,7 +180,7 @@ class VldArray : public simdisk::BlockDevice {
   std::vector<Pending> batch_;
   std::vector<Pending> spare_;
   std::vector<size_t> member_runs_;  // Runs per member in the batch being flushed.
-  std::vector<std::vector<core::Vld::QueuedCompletion>> member_done_;
+  std::vector<std::vector<QueuedCompletion>> member_done_;
   std::vector<size_t> member_cursor_;
   uint64_t next_id_ = 1;
   uint32_t queue_depth_ = 0;

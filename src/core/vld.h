@@ -104,7 +104,7 @@ struct VldRecoveryInfo {
   uint64_t discarded_txn_sectors = 0;
 };
 
-class Vld : public simdisk::BlockDevice, public CompactionBackend {
+class Vld final : public simdisk::BlockDevice, public CompactionBackend {
  public:
   explicit Vld(simdisk::SimDisk* disk, VldConfig config = {});
 
@@ -128,39 +128,24 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   }
   uint32_t SectorBytes() const override { return disk_->SectorBytes(); }
 
-  // Extensions beyond the classic interface.
-  struct AtomicWrite {
-    simdisk::Lba lba;  // Must be physical-block aligned.
-    std::span<const std::byte> data;  // Whole blocks.
-  };
+  common::Time Now() const override { return disk_->clock()->Now(); }
+
+  // --- Extensions beyond the classic interface (see simdisk::BlockDevice) ---
+  using AtomicWrite = simdisk::AtomicWrite;
+  using QueuedCompletion = simdisk::QueuedCompletion;
   // All-or-nothing multi-extent write (one command, one transaction in the virtual log).
-  common::Status WriteAtomic(std::span<const AtomicWrite> writes);
+  common::Status WriteAtomic(std::span<const AtomicWrite> writes) override;
 
   // --- Queued I/O (§4.2: one map sector holds many entries, so a queue's worth of eager
   // writes can share a single virtual-log commit; reads join the same queue so the positional
   // scheduler can order them) ---
 
-  // Per-request acknowledgement from FlushQueue, timestamped on the virtual clock.
-  struct QueuedCompletion {
-    uint64_t id = 0;
-    bool is_write = true;
-    simdisk::Lba lba = 0;
-    common::Time submit_time = 0;    // When SubmitRead/SubmitWrite accepted the request.
-    // Writes: when the group's map commit reached the media. Reads: when the data was
-    // assembled (reads need no commit, so they complete at their own service time).
-    common::Time complete_time = 0;
-    common::Time dispatch_time = 0;  // When its controller work finished and media work began.
-    uint64_t span_id = 0;            // Trace span (0 when the disk has no tracer attached).
-    std::vector<std::byte> data;     // Read payload (empty for writes).
-    common::Duration Latency() const { return complete_time - submit_time; }
-    // Time the request spent behind other queue entries before its own controller work began.
-    common::Duration QueueDelay() const { return dispatch_time - submit_time; }
-  };
   // Enqueues a host write without any media work (the payload is copied); returns a completion
   // id. Fails with kFailedPrecondition when `queue_depth` requests are already outstanding.
-  common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);
+  common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba,
+                                         std::span<const std::byte> in) override;
   // Enqueues a host read of `sectors` sectors; the data arrives in the FlushQueue completion.
-  common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
+  common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors) override;
   // Services every queued request. Writes go down eagerly in submission order (controller
   // overhead pipelined with the media), reads are interleaved by `read_policy` (SPTF orders
   // them by positioning cost; a read whose sectors are covered by an earlier-submitted write
@@ -172,14 +157,14 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // all-or-nothing across a crash; reads acknowledge at their own service time and leave no
   // state behind. Completions are returned in submission order. With a single queued request
   // this is clock-identical to the synchronous path.
-  common::StatusOr<std::vector<QueuedCompletion>> FlushQueue();
-  size_t QueuedRequests() const { return queue_.size(); }
+  common::StatusOr<std::vector<QueuedCompletion>> FlushQueue() override;
+  size_t QueuedRequests() const override { return queue_.size(); }
   size_t QueuedWrites() const;
   size_t QueuedReads() const { return queue_.size() - QueuedWrites(); }
-  uint32_t queue_depth() const { return config_.queue_depth; }
+  uint32_t queue_depth() const override { return config_.queue_depth; }
   // Explicitly frees whole logical blocks covered by [lba, lba+sectors) — the delete hint the
   // paper notes is missing from the unmodified interface.
-  common::Status Trim(simdisk::Lba lba, uint64_t sectors);
+  common::Status Trim(simdisk::Lba lba, uint64_t sectors) override;
 
   // Gives the in-disk compactor an idle interval of `budget`.
   void RunIdle(common::Duration budget);

@@ -198,7 +198,7 @@ class ArrayCrashSim::Hooks : public SweepHooks {
     }
     array::VldArray array(members, sim_.array_config_);
     auto info = array.Recover();
-    report.recovery_times.push_back(array.now());  // Fresh clocks start at zero.
+    report.recovery_times.push_back(array.Now());  // Fresh clocks start at zero.
     if (!info.ok()) {
       report.AddViolation(point, "array recovery failed: " + info.status().ToString(),
                           max_details);

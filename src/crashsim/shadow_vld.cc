@@ -10,11 +10,13 @@ namespace vlog::crashsim {
 ShadowVld::ShadowVld(core::Vld* vld, const WriteTrace* trace)
     : vld_(vld),
       trace_(trace),
+      front_(vld),
       block_bytes_(vld->block_sectors() * vld->SectorBytes()),
       shadow_(vld->logical_blocks()) {}
 
 void ShadowVld::AttachStage(core::NvmStage* stage, const NvmTrace* nvm_trace) {
   stage_ = stage;
+  front_ = stage;
   nvm_trace_ = nvm_trace;
 }
 
@@ -66,7 +68,7 @@ void ShadowVld::RecordWrites(std::span<const core::Vld::AtomicWrite> writes) {
 }
 
 common::Status ShadowVld::Read(simdisk::Lba lba, std::span<std::byte> out) {
-  RETURN_IF_ERROR(stage_ != nullptr ? stage_->Read(lba, out) : vld_->Read(lba, out));
+  RETURN_IF_ERROR(front_->Read(lba, out));
   // Verify against the shadow: a divergence while the device is healthy is a live bug, better
   // caught here than blamed on a crash point later.
   const uint32_t sector_bytes = SectorBytes();
@@ -91,7 +93,7 @@ common::Status ShadowVld::Read(simdisk::Lba lba, std::span<std::byte> out) {
 }
 
 common::Status ShadowVld::Write(simdisk::Lba lba, std::span<const std::byte> in) {
-  RETURN_IF_ERROR(stage_ != nullptr ? stage_->Write(lba, in) : vld_->Write(lba, in));
+  RETURN_IF_ERROR(front_->Write(lba, in));
   const uint32_t sector_bytes = SectorBytes();
   const uint32_t bs = vld_->block_sectors();
   const uint64_t sectors = in.size() / sector_bytes;
@@ -114,7 +116,7 @@ common::Status ShadowVld::Write(simdisk::Lba lba, std::span<const std::byte> in)
 }
 
 common::Status ShadowVld::Trim(simdisk::Lba lba, uint64_t sectors) {
-  RETURN_IF_ERROR(stage_ != nullptr ? stage_->Trim(lba, sectors) : vld_->Trim(lba, sectors));
+  RETURN_IF_ERROR(front_->Trim(lba, sectors));
   // Mirror Vld::Trim: only whole covered blocks are dropped; partial edges are ignored.
   const uint32_t bs = vld_->block_sectors();
   const uint32_t first = static_cast<uint32_t>((lba + bs - 1) / bs);
@@ -130,7 +132,7 @@ common::Status ShadowVld::Trim(simdisk::Lba lba, uint64_t sectors) {
 }
 
 common::Status ShadowVld::WriteAtomic(std::span<const core::Vld::AtomicWrite> writes) {
-  RETURN_IF_ERROR(stage_ != nullptr ? stage_->WriteAtomic(writes) : vld_->WriteAtomic(writes));
+  RETURN_IF_ERROR(front_->WriteAtomic(writes));
   RecordWrites(writes);
   return common::OkStatus();
 }
@@ -155,22 +157,18 @@ common::Status ShadowVld::QueuedMixedBatch(std::span<const core::Vld::AtomicWrit
     if (wi < writes.size()) {
       // Staged submits resolve overlay conflicts (destage + flush + invalidate) at submit
       // time, so any media writes they emit land before trace_before below.
-      RETURN_IF_ERROR((stage_ != nullptr ? stage_->SubmitWrite(writes[wi].lba, writes[wi].data)
-                                         : vld_->SubmitWrite(writes[wi].lba, writes[wi].data))
-                          .status());
+      RETURN_IF_ERROR(front_->SubmitWrite(writes[wi].lba, writes[wi].data).status());
       ++wi;
     }
     if (ri < read_blocks.size()) {
       const simdisk::Lba read_lba = static_cast<simdisk::Lba>(read_blocks[ri]) * bs;
-      ASSIGN_OR_RETURN(const uint64_t id, stage_ != nullptr ? stage_->SubmitRead(read_lba, bs)
-                                                            : vld_->SubmitRead(read_lba, bs));
+      ASSIGN_OR_RETURN(const uint64_t id, front_->SubmitRead(read_lba, bs));
       reads.push_back({id, read_blocks[ri], wi});
       ++ri;
     }
   }
   const uint64_t trace_before = trace_->size();
-  ASSIGN_OR_RETURN(const std::vector<core::Vld::QueuedCompletion> done,
-                   stage_ != nullptr ? stage_->FlushQueue() : vld_->FlushQueue());
+  ASSIGN_OR_RETURN(const std::vector<core::Vld::QueuedCompletion> done, front_->FlushQueue());
   if (writes.empty() && trace_->size() != trace_before) {
     return common::Corruption("QueuedMixedBatch: read-only batch emitted media writes");
   }

@@ -56,15 +56,18 @@ class ShadowVld : public simdisk::BlockDevice {
   // a bug worth failing loudly on) and writes are recorded as ops.
   common::Status Read(simdisk::Lba lba, std::span<std::byte> out) override;
   common::Status Write(simdisk::Lba lba, std::span<const std::byte> in) override;
-  common::Status Flush() override { return vld_->Flush(); }
-  uint64_t SectorCount() const override { return vld_->SectorCount(); }
-  uint32_t SectorBytes() const override { return vld_->SectorBytes(); }
+  common::Status Flush() override { return front_->Flush(); }
+  uint64_t SectorCount() const override { return front_->SectorCount(); }
+  uint32_t SectorBytes() const override { return front_->SectorBytes(); }
+  common::Time Now() const override { return front_->Now(); }
 
   // VLD extensions, passed through with shadow bookkeeping. Trim drops whole covered blocks
   // (mirroring Vld::Trim); Checkpoint/Park/RunIdle touch no logical blocks but still record op
   // boundaries so their media writes are attributed to them rather than to the next command.
-  common::Status Trim(simdisk::Lba lba, uint64_t sectors);
-  common::Status WriteAtomic(std::span<const core::Vld::AtomicWrite> writes);
+  // The raw queued calls keep the interface's refusal: queued traffic goes through the two
+  // batch methods below, which record a whole batch as one op.
+  common::Status Trim(simdisk::Lba lba, uint64_t sectors) override;
+  common::Status WriteAtomic(std::span<const core::Vld::AtomicWrite> writes) override;
   // Queued-write path: submits every extent through SubmitWrite, then FlushQueue group-commits
   // all of their map entries in one packed transaction. The batch shares a single commit point,
   // so across a crash it is all-old-or-all-new; it is recorded as ONE op and the sweep verifies
@@ -110,6 +113,8 @@ class ShadowVld : public simdisk::BlockDevice {
 
   core::Vld* vld_;
   const WriteTrace* trace_;
+  // Where host traffic goes: the Vld, or the stage over it in staged mode.
+  simdisk::BlockDevice* front_;
   core::NvmStage* stage_ = nullptr;      // Non-null in staged mode.
   const NvmTrace* nvm_trace_ = nullptr;  // Non-null in staged mode.
   uint32_t block_bytes_;

@@ -21,13 +21,8 @@ uint64_t NvmStage::RecordBytes(uint64_t payload_bytes, uint32_t cache_line_bytes
   return (raw + cache_line_bytes - 1) / cache_line_bytes * cache_line_bytes;
 }
 
-NvmStage::NvmStage(simdisk::NvmDevice* nvm, Vld* vld, NvmStageConfig config)
-    : nvm_(nvm), backing_(vld), vld_(vld), config_(config),
-      sector_bytes_(vld->SectorBytes()) {}
-
 NvmStage::NvmStage(simdisk::NvmDevice* nvm, simdisk::BlockDevice* backing, NvmStageConfig config)
-    : nvm_(nvm), backing_(backing), vld_(nullptr), config_(config),
-      sector_bytes_(backing->SectorBytes()) {}
+    : nvm_(nvm), backing_(backing), config_(config), sector_bytes_(backing->SectorBytes()) {}
 
 bool NvmStage::InDevice(simdisk::Lba lba, uint64_t sectors) const {
   return lba <= backing_->SectorCount() && sectors <= backing_->SectorCount() - lba;
@@ -181,12 +176,14 @@ common::Status NvmStage::ResolveConflicts(simdisk::Lba lba, uint64_t sectors) {
   // touches the backing device.
   RETURN_IF_ERROR(DestageSectors(hit));
   RETURN_IF_ERROR(backing_->Flush());
-  RETURN_IF_ERROR(AppendInvalidate(lba, sectors));
+  // The hits are durable on the backing device now, so they leave the overlay before the
+  // invalidate append: when the log has no room for it, the append drains instead, and a
+  // drain must not find (and write) the same sectors a second time.
   for (const NvmSectorIndex::Entry& e : hit) {
     overlay_.Erase(e.lba);
   }
   stats_.conflict_destages += hit.size();
-  return common::OkStatus();
+  return AppendInvalidate(lba, sectors);
 }
 
 common::Status NvmStage::Write(simdisk::Lba lba, std::span<const std::byte> in) {
@@ -304,56 +301,37 @@ common::StatusOr<uint64_t> NvmStage::RunDestageBurst(common::Duration budget) {
 }
 
 common::Status NvmStage::Trim(simdisk::Lba lba, uint64_t sectors) {
-  if (vld_ == nullptr) {
-    return common::FailedPrecondition("NvmStage::Trim: backing device is not a Vld");
-  }
   obs::SpanScope span(tracer_, obs::Layer::kNvm, lba, sectors, obs::SpanKind::kOther);
   // Conservative: destage the staged copies before trimming, so an acknowledged staged write
   // is never left with its only durable copy invalidated while the trim is still in flight
   // across a crash. (A cheaper trim-tombstone record is possible future work.)
   RETURN_IF_ERROR(ResolveConflicts(lba, sectors));
-  return vld_->Trim(lba, sectors);
+  return backing_->Trim(lba, sectors);
 }
 
-common::Status NvmStage::WriteAtomic(std::span<const Vld::AtomicWrite> writes) {
-  if (vld_ == nullptr) {
-    return common::FailedPrecondition("NvmStage::WriteAtomic: backing device is not a Vld");
-  }
+common::Status NvmStage::WriteAtomic(std::span<const simdisk::AtomicWrite> writes) {
   obs::SpanScope span(tracer_, obs::Layer::kNvm, writes.empty() ? 0 : writes.front().lba,
                       writes.size(), obs::SpanKind::kWrite);
-  for (const Vld::AtomicWrite& w : writes) {
+  for (const simdisk::AtomicWrite& w : writes) {
     RETURN_IF_ERROR(ResolveConflicts(w.lba, w.data.size() / sector_bytes_));
   }
   ++stats_.direct_writes;
-  return vld_->WriteAtomic(writes);
+  return backing_->WriteAtomic(writes);
 }
 
 common::StatusOr<uint64_t> NvmStage::SubmitWrite(simdisk::Lba lba,
                                                  std::span<const std::byte> in) {
-  if (vld_ == nullptr) {
-    return common::FailedPrecondition("NvmStage::SubmitWrite: backing device is not a Vld");
-  }
   RETURN_IF_ERROR(ResolveConflicts(lba, in.size() / sector_bytes_));
   ++stats_.direct_writes;
-  return vld_->SubmitWrite(lba, in);
+  return backing_->SubmitWrite(lba, in);
 }
 
 common::StatusOr<uint64_t> NvmStage::SubmitRead(simdisk::Lba lba, uint64_t sectors) {
-  if (vld_ == nullptr) {
-    return common::FailedPrecondition("NvmStage::SubmitRead: backing device is not a Vld");
-  }
   // Read-triggered destage: the queued read must observe staged data, and the queue serves
   // from the backing device only, so overlapping staged sectors are destaged (and durably
   // flushed) before the read is submitted.
   RETURN_IF_ERROR(ResolveConflicts(lba, sectors));
-  return vld_->SubmitRead(lba, sectors);
-}
-
-common::StatusOr<std::vector<Vld::QueuedCompletion>> NvmStage::FlushQueue() {
-  if (vld_ == nullptr) {
-    return common::FailedPrecondition("NvmStage::FlushQueue: backing device is not a Vld");
-  }
-  return vld_->FlushQueue();
+  return backing_->SubmitRead(lba, sectors);
 }
 
 void NvmStage::RegisterTimelineProbes(obs::Timeline& timeline, const std::string& prefix) const {

@@ -42,7 +42,6 @@
 
 #include "src/common/status.h"
 #include "src/common/time.h"
-#include "src/core/vld.h"
 #include "src/nvm/sector_index.h"
 #include "src/obs/trace.h"
 #include "src/simdisk/block_device.h"
@@ -89,14 +88,11 @@ struct NvmStageRecoveryInfo {
 };
 
 // `NvmStage` is itself a BlockDevice, so any file system (UFS, the LFS logical disk) mounts on
-// top of it unchanged; the VLD extensions (queued I/O, atomic batches, trim) pass through when
-// the backing device is a Vld.
-class NvmStage : public simdisk::BlockDevice {
+// top of it unchanged, and it fronts any BlockDevice: a raw disk, a Vld or a VldArray. The
+// queued, atomic and trim extensions pass through to the backing device after conflict
+// resolution, and fail there when the backing device does not implement them.
+class NvmStage final : public simdisk::BlockDevice {
  public:
-  // Stage over a VLD: the headline "eager writing + NVM" composition. Queued and atomic
-  // extensions are available.
-  NvmStage(simdisk::NvmDevice* nvm, Vld* vld, NvmStageConfig config = {});
-  // Stage over any block device (e.g. a raw SimDisk): the "NVM over naive placement" leg.
   NvmStage(simdisk::NvmDevice* nvm, simdisk::BlockDevice* backing, NvmStageConfig config = {});
 
   // Initializes an empty log (fresh NVM). Either Format or Recover must run before I/O.
@@ -115,14 +111,22 @@ class NvmStage : public simdisk::BlockDevice {
   common::Status Flush() override { return backing_->Flush(); }
   uint64_t SectorCount() const override { return backing_->SectorCount(); }
   uint32_t SectorBytes() const override { return sector_bytes_; }
+  // Queued completions come from the backing device, so they carry its time.
+  common::Time Now() const override { return backing_->Now(); }
 
-  // VLD extensions, forwarded after conflict resolution (staged overlaps are destaged +
-  // flushed + invalidated first). Fail when the backing device is not a Vld.
-  common::Status Trim(simdisk::Lba lba, uint64_t sectors);
-  common::Status WriteAtomic(std::span<const Vld::AtomicWrite> writes);
-  common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);
-  common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
-  common::StatusOr<std::vector<Vld::QueuedCompletion>> FlushQueue();
+  // Extensions, forwarded after conflict resolution (staged overlaps are destaged + flushed +
+  // invalidated first). A queued read never sees the overlay: its overlapping staged sectors
+  // are destaged before it is submitted.
+  common::Status Trim(simdisk::Lba lba, uint64_t sectors) override;
+  common::Status WriteAtomic(std::span<const simdisk::AtomicWrite> writes) override;
+  common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba,
+                                         std::span<const std::byte> in) override;
+  common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors) override;
+  common::StatusOr<std::vector<simdisk::QueuedCompletion>> FlushQueue() override {
+    return backing_->FlushQueue();
+  }
+  size_t QueuedRequests() const override { return backing_->QueuedRequests(); }
+  uint32_t queue_depth() const override { return backing_->queue_depth(); }
 
   // Destages everything synchronously and resets the log. After Drain() the backing device's
   // contents equal what a stage-off run would have produced (the differential suite's
@@ -139,7 +143,6 @@ class NvmStage : public simdisk::BlockDevice {
   uint64_t epoch() const { return epoch_; }
   const NvmStageStats& stats() const { return stats_; }
   simdisk::NvmDevice& nvm() { return *nvm_; }
-  Vld* vld() { return vld_; }
   common::Clock* clock() { return nvm_->clock(); }
 
   void set_tracer(obs::TraceRecorder* tracer) {
@@ -192,7 +195,6 @@ class NvmStage : public simdisk::BlockDevice {
 
   simdisk::NvmDevice* nvm_;
   simdisk::BlockDevice* backing_;
-  Vld* vld_;  // Non-null when backing_ is a Vld (enables the queued/atomic/trim passthroughs).
   NvmStageConfig config_;
   uint32_t sector_bytes_;
   obs::TraceRecorder* tracer_ = nullptr;

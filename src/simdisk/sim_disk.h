@@ -51,6 +51,7 @@ class SimDisk : public BlockDevice {
   common::Status Flush() override;
   uint64_t SectorCount() const override { return params_.geometry.TotalSectors(); }
   uint32_t SectorBytes() const override { return params_.geometry.sector_bytes; }
+  common::Time Now() const override { return clock_->Now(); }
 
   // Force-unit-access write: bypasses the write cache (discarding any cached copy it
   // supersedes) and commits to media before acknowledging. Identical to Write when the cache

@@ -1,7 +1,7 @@
 #include "src/workload/array_sweep.h"
 
-#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -11,122 +11,13 @@ namespace vlog::workload {
 
 namespace {
 
-// The deterministic block payload both drivers agree on: byte j of block b is
-// (b * 131 + j * 7) & 0xFF — the same tag queue_sweep uses, so goldens stay familiar.
+// The deterministic block payload: byte j of block b is (b * 131 + j * 7) & 0xFF — the tag
+// the closed-loop update driver writes, so goldens stay familiar.
 void FillPattern(uint32_t block, std::vector<std::byte>& payload) {
   FillAffinePayload(payload, block * 131u);
 }
 
-void Summarize(std::vector<common::Duration> latencies, common::Duration elapsed,
-               ArraySweepResult* result) {
-  result->updates = latencies.size();
-  result->iops =
-      elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
-  common::Duration total = 0;
-  for (const common::Duration lat : latencies) {
-    total += lat;
-    result->latency_hist.Record(lat);
-  }
-  result->mean_latency =
-      latencies.empty() ? 0 : total / static_cast<common::Duration>(latencies.size());
-  std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    const auto exact_pct = [&](size_t pct) {
-      return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
-    };
-    result->p50_latency = exact_pct(50);
-    result->p99_latency = exact_pct(99);
-    result->max_latency = latencies.back();
-  }
-}
-
-// The shared closed-loop driver. `Device` is VldArray or Vld: both expose SectorCount,
-// SectorBytes, block_sectors, queue_depth, SubmitWrite, and FlushQueue with Latency()-bearing
-// completions, and `now` reads the device's notion of current time (array barrier time for the
-// array, the member clock for a bare Vld) so elapsed — and therefore IOPS — is measured the
-// same way on both sides of the N = 1 identity gate.
-template <typename Device, typename NowFn>
-common::StatusOr<ArraySweepResult> RunUpdates(Device& dev, NowFn now, uint32_t depth,
-                                              int updates, int warmup, uint64_t seed,
-                                              uint32_t region_blocks,
-                                              obs::Timeline* timeline = nullptr,
-                                              obs::WindowedHistogram* window_latency = nullptr) {
-  if (depth == 0 || depth > dev.queue_depth()) {
-    return common::InvalidArgument("array sweep: depth out of range");
-  }
-  const uint32_t block_sectors = dev.block_sectors();
-  const uint32_t device_blocks = static_cast<uint32_t>(dev.SectorCount() / block_sectors);
-  const uint32_t blocks = region_blocks != 0 ? region_blocks : device_blocks / 2;
-  if (blocks == 0 || blocks > device_blocks) {
-    return common::InvalidArgument("array sweep: region out of range");
-  }
-  common::Rng rng(seed);
-  std::vector<std::byte> payload(static_cast<size_t>(block_sectors) * dev.SectorBytes());
-
-  auto run_round = [&](int n, std::vector<common::Duration>* latencies) -> common::Status {
-    for (int i = 0; i < n; ++i) {
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      FillPattern(b, payload);
-      RETURN_IF_ERROR(
-          dev.SubmitWrite(static_cast<simdisk::Lba>(b) * block_sectors, payload).status());
-    }
-    auto done = dev.FlushQueue();
-    RETURN_IF_ERROR(done.status());
-    if (latencies != nullptr) {
-      for (const auto& c : done.value()) {
-        latencies->push_back(c.Latency());
-        if (window_latency != nullptr) {
-          window_latency->Record(c.Latency());
-        }
-      }
-    }
-    if (timeline != nullptr) {
-      timeline->Poll(now());
-    }
-    return common::OkStatus();
-  };
-
-  for (int remaining = warmup; remaining > 0;) {
-    const int n = std::min<int>(remaining, static_cast<int>(depth));
-    RETURN_IF_ERROR(run_round(n, nullptr));
-    remaining -= n;
-  }
-
-  std::vector<common::Duration> latencies;
-  latencies.reserve(static_cast<size_t>(updates));
-  const common::Time start = now();
-  for (int remaining = updates; remaining > 0;) {
-    const int n = std::min<int>(remaining, static_cast<int>(depth));
-    RETURN_IF_ERROR(run_round(n, &latencies));
-    remaining -= n;
-  }
-  const common::Duration elapsed = now() - start;
-
-  ArraySweepResult result;
-  result.depth = depth;
-  Summarize(std::move(latencies), elapsed, &result);
-  return result;
-}
-
 }  // namespace
-
-common::StatusOr<ArraySweepResult> RunArrayRandomUpdates(array::VldArray& array, uint32_t depth,
-                                                         int updates, int warmup, uint64_t seed,
-                                                         uint32_t region_blocks,
-                                                         obs::Timeline* timeline,
-                                                         obs::WindowedHistogram* latency) {
-  return RunUpdates(
-      array, [&] { return array.now(); }, depth, updates, warmup, seed, region_blocks, timeline,
-      latency);
-}
-
-common::StatusOr<ArraySweepResult> RunArrayRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                         int updates, int warmup, uint64_t seed,
-                                                         uint32_t region_blocks) {
-  return RunUpdates(
-      vld, [&] { return vld.disk().clock()->Now(); }, depth, updates, warmup, seed,
-      region_blocks);
-}
 
 common::Status PrepopulateArray(array::VldArray& array, uint32_t region_blocks) {
   const uint32_t block_sectors = array.block_sectors();
@@ -155,38 +46,22 @@ common::StatusOr<ArrayReadResult> RunArrayRandomReads(array::VldArray& array, in
   std::vector<std::byte> got(static_cast<size_t>(block_sectors) * array.SectorBytes());
   std::vector<std::byte> want(got.size());
 
-  ArrayReadResult result;
+  bool payloads_ok = true;
   std::vector<common::Duration> latencies;
   latencies.reserve(static_cast<size_t>(reads));
-  const common::Time start = array.now();
+  const common::Time start = array.Now();
   for (int i = 0; i < reads; ++i) {
     const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-    const common::Time before = array.now();
+    const common::Time before = array.Now();
     RETURN_IF_ERROR(array.Read(static_cast<simdisk::Lba>(b) * block_sectors, got));
-    latencies.push_back(array.now() - before);
+    latencies.push_back(array.Now() - before);
     FillPattern(b, want);
-    result.payloads_ok &= got == want;
+    payloads_ok &= got == want;
   }
-  const common::Duration elapsed = array.now() - start;
-
-  result.reads = latencies.size();
-  result.iops =
-      elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
-  common::Duration total = 0;
-  for (const common::Duration lat : latencies) {
-    total += lat;
-    result.latency_hist.Record(lat);
-  }
-  result.mean_latency =
-      latencies.empty() ? 0 : total / static_cast<common::Duration>(latencies.size());
-  std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    const auto exact_pct = [&](size_t pct) {
-      return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
-    };
-    result.p50_latency = exact_pct(50);
-    result.p99_latency = exact_pct(99);
-  }
+  ArrayReadResult result;
+  static_cast<LatencySummary&>(result) =
+      SummarizeLatencies(std::move(latencies), array.Now() - start);
+  result.payloads_ok = payloads_ok;
   return result;
 }
 

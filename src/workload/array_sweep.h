@@ -1,11 +1,6 @@
-// Closed-loop random-update and random-read drivers for the multi-disk virtual-log array.
-//
-// The update driver mirrors queue_sweep's RunQueuedRandomUpdates — `depth` streams, one
-// outstanding 1-block update each, the whole queue group-serviced by FlushQueue — but runs over
-// a VldArray, whose FlushQueue fans every batch out as one packed group commit per touched
-// member with a cross-disk completion barrier. A bare-Vld overload drives the identical
-// request sequence through a single member so the N = 1 striped array can be gated to produce
-// exactly the same IOPS (the array layer must dissolve completely at N = 1).
+// Synchronous random-read driver for the multi-disk virtual-log array, and the prepopulation
+// it verifies against. (Closed-loop updates over an array use RunClosedLoopUpdates in
+// queue_sweep.h: a VldArray is a queued BlockDevice like any other.)
 //
 // The read driver measures synchronous array reads over a region prepopulated with a known
 // per-block pattern, verifying every returned payload — run it healthy and again with a
@@ -18,56 +13,16 @@
 
 #include "src/array/vld_array.h"
 #include "src/common/status.h"
-#include "src/common/time.h"
-#include "src/core/vld.h"
-#include "src/obs/histogram.h"
-#include "src/obs/timeline.h"
+#include "src/workload/queue_sweep.h"
 
 namespace vlog::workload {
 
-struct ArraySweepResult {
-  uint32_t depth = 0;
-  uint64_t updates = 0;           // Measured requests (excludes warmup).
-  double iops = 0;                // Measured requests per simulated second.
-  common::Duration mean_latency = 0;
-  common::Duration p50_latency = 0;
-  common::Duration p99_latency = 0;
-  common::Duration max_latency = 0;
-  obs::LatencyHistogram latency_hist;  // Per-request latencies (ns), mergeable.
-};
-
-// Runs `warmup` unmeasured then `updates` measured random one-block updates over the first
-// `region_blocks` array blocks (0 = the first half of the device), `depth` streams
-// closed-loop. Payload bytes follow the deterministic pattern (block * 131 + offset * 7) so
-// reads can verify content later. The device must be freshly formatted. When `timeline` is
-// non-null it is Poll()ed with the array barrier time at every batch boundary (warmup
-// included); when `latency` is non-null every measured completion's latency is recorded there
-// too, so a timeline window histogram tracks the same series the result histogram summarizes.
-common::StatusOr<ArraySweepResult> RunArrayRandomUpdates(array::VldArray& array, uint32_t depth,
-                                                         int updates, int warmup,
-                                                         uint64_t seed = 2,
-                                                         uint32_t region_blocks = 0,
-                                                         obs::Timeline* timeline = nullptr,
-                                                         obs::WindowedHistogram* latency = nullptr);
-
-// The bare-member baseline: the identical stream/region/seed sequence through a single Vld's
-// queue. Pass the array run's region so the request sequences match block for block.
-common::StatusOr<ArraySweepResult> RunArrayRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                         int updates, int warmup,
-                                                         uint64_t seed = 2,
-                                                         uint32_t region_blocks = 0);
-
-// Writes the deterministic pattern to every block of the region (0 = first half), so
-// RunArrayRandomReads can verify payloads. Uses the synchronous write path.
+// Writes the deterministic pattern (the one RunClosedLoopUpdates writes) to every block of the
+// region (0 = first half), so RunArrayRandomReads can verify payloads. Uses the synchronous
+// write path.
 common::Status PrepopulateArray(array::VldArray& array, uint32_t region_blocks = 0);
 
-struct ArrayReadResult {
-  uint64_t reads = 0;
-  double iops = 0;
-  common::Duration mean_latency = 0;
-  common::Duration p50_latency = 0;
-  common::Duration p99_latency = 0;
-  obs::LatencyHistogram latency_hist;
+struct ArrayReadResult : LatencySummary {
   bool payloads_ok = true;  // Every read returned its block's expected pattern.
 };
 

@@ -17,84 +17,95 @@ constexpr size_t kUpdateBytes = 4096;
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
-common::StatusOr<QueueDepthResult> RunQueuedRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                          int updates, int warmup,
-                                                          uint64_t seed) {
-  if (depth == 0 || depth > vld.queue_depth()) {
-    return common::InvalidArgument("queue sweep: depth out of range");
+LatencySummary SummarizeLatencies(std::vector<common::Duration> latencies,
+                                  common::Duration elapsed) {
+  LatencySummary s;
+  s.requests = latencies.size();
+  s.iops = elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
+  if (latencies.empty()) {
+    return s;
+  }
+  common::Duration total = 0;
+  for (const common::Duration lat : latencies) {
+    total += lat;
+    s.latency_hist.Record(lat);
+  }
+  s.mean_latency = total / static_cast<common::Duration>(latencies.size());
+  std::sort(latencies.begin(), latencies.end());
+  const auto exact_pct = [&](size_t pct) {
+    return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
+  };
+  s.p50_latency = exact_pct(50);
+  s.p90_latency = exact_pct(90);
+  s.p99_latency = exact_pct(99);
+  s.max_latency = latencies.back();
+  return s;
+}
+
+common::StatusOr<QueueDepthResult> RunClosedLoopUpdates(
+    simdisk::BlockDevice& dev, uint32_t depth, int updates, int warmup, uint64_t seed,
+    uint32_t region_blocks, obs::TraceRecorder* tracer, obs::Timeline* timeline,
+    obs::WindowedHistogram* latency) {
+  if (depth == 0 || depth > dev.queue_depth()) {
+    return common::InvalidArgument("closed loop: depth out of range");
+  }
+  const uint32_t block_sectors = kUpdateBytes / dev.SectorBytes();
+  const uint32_t device_blocks = static_cast<uint32_t>(dev.SectorCount() / block_sectors);
+  const uint32_t blocks = region_blocks != 0 ? region_blocks : device_blocks / 2;
+  if (blocks == 0 || blocks > device_blocks) {
+    return common::InvalidArgument("closed loop: region out of range");
   }
   common::Rng rng(seed);
-  const uint32_t block_sectors = kUpdateBytes / vld.SectorBytes();
-  const uint32_t blocks = vld.logical_blocks() / 2;
   std::vector<std::byte> payload(kUpdateBytes);
-
+  std::vector<common::Duration> latencies;
+  latencies.reserve(static_cast<size_t>(updates));
   common::Duration queue_delay_total = 0;
   // One closed-loop round: every stream submits its next update (all streams became ready at
-  // the previous group commit, i.e. "now"), then the queue drains through one group commit.
-  auto run_round = [&](int n,
-                       std::vector<common::Duration>* latencies) -> common::Status {
+  // the previous acknowledgement, i.e. "now"), then the queue drains through one group commit.
+  auto run_round = [&](int n, bool measured) -> common::Status {
     for (int i = 0; i < n; ++i) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
       FillAffinePayload(payload, b * 131u);
       RETURN_IF_ERROR(
-          vld.SubmitWrite(static_cast<simdisk::Lba>(b) * block_sectors, payload).status());
+          dev.SubmitWrite(static_cast<simdisk::Lba>(b) * block_sectors, payload).status());
     }
-    ASSIGN_OR_RETURN(std::vector<core::Vld::QueuedCompletion> done, vld.FlushQueue());
-    if (latencies != nullptr) {
-      for (const core::Vld::QueuedCompletion& c : done) {
-        latencies->push_back(c.Latency());
+    ASSIGN_OR_RETURN(const std::vector<simdisk::QueuedCompletion> done, dev.FlushQueue());
+    if (measured) {
+      for (const simdisk::QueuedCompletion& c : done) {
+        latencies.push_back(c.Latency());
         queue_delay_total += c.QueueDelay();
+        if (latency != nullptr) {
+          latency->Record(c.Latency());
+        }
       }
+    }
+    if (timeline != nullptr) {
+      timeline->Poll(dev.Now());
     }
     return common::OkStatus();
   };
 
   for (int remaining = warmup; remaining > 0;) {
     const int n = std::min<int>(remaining, static_cast<int>(depth));
-    RETURN_IF_ERROR(run_round(n, nullptr));
+    RETURN_IF_ERROR(run_round(n, /*measured=*/false));
     remaining -= n;
   }
-
-  std::vector<common::Duration> latencies;
-  latencies.reserve(static_cast<size_t>(updates));
-  obs::TraceRecorder* tracer = vld.disk().tracer();
   const obs::TimeBreakdown totals_before =
       tracer != nullptr ? tracer->totals() : obs::TimeBreakdown{};
-  const common::Time start = vld.disk().clock()->Now();
+  const common::Time start = dev.Now();
   for (int remaining = updates; remaining > 0;) {
     const int n = std::min<int>(remaining, static_cast<int>(depth));
-    RETURN_IF_ERROR(run_round(n, &latencies));
+    RETURN_IF_ERROR(run_round(n, /*measured=*/true));
     remaining -= n;
   }
-  const common::Duration elapsed = vld.disk().clock()->Now() - start;
 
   QueueDepthResult result;
+  static_cast<LatencySummary&>(result) =
+      SummarizeLatencies(std::move(latencies), dev.Now() - start);
   result.depth = depth;
-  result.updates = latencies.size();
-  result.iops =
-      elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
-  common::Duration total = 0;
-  for (const common::Duration lat : latencies) {
-    total += lat;
-  }
-  result.mean_latency =
-      latencies.empty() ? 0 : total / static_cast<common::Duration>(latencies.size());
   result.mean_queue_delay =
-      latencies.empty() ? 0
-                        : queue_delay_total / static_cast<common::Duration>(latencies.size());
-  for (const common::Duration lat : latencies) {
-    result.latency_hist.Record(lat);
-  }
-  std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    const auto exact_pct = [&](size_t pct) {
-      return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
-    };
-    result.p50_latency = exact_pct(50);
-    result.p90_latency = exact_pct(90);
-    result.p99_latency = exact_pct(99);
-    result.max_latency = latencies.back();
-  }
+      result.requests == 0 ? 0
+                           : queue_delay_total / static_cast<common::Duration>(result.requests);
   if (tracer != nullptr) {
     result.breakdown = tracer->totals() - totals_before;
   }
@@ -361,11 +372,20 @@ void AppendArrivals(const OpenLoopOptions& options, common::Time start, common::
   }
 }
 
-common::StatusOr<OpenLoopResult> RunOpenLoopImpl(core::Vld& vld,
-                                                 const OpenLoopOptions& options,
-                                                 core::CompactionGovernor* governor,
-                                                 obs::Timeline* timeline,
-                                                 obs::WindowedHistogram* latency) {
+}  // namespace
+
+std::vector<common::Time> GenerateArrivals(const OpenLoopOptions& options, common::Time start) {
+  common::Rng rng(options.seed);
+  std::vector<common::Time> out;
+  AppendArrivals(options, start, rng, out);
+  return out;
+}
+
+common::StatusOr<OpenLoopResult> RunGovernedOpenLoop(core::Vld& vld,
+                                                     const OpenLoopOptions& options,
+                                                     core::CompactionGovernor* governor,
+                                                     obs::Timeline* timeline,
+                                                     obs::WindowedHistogram* latency) {
   if (options.rate_ops_per_s <= 0) {
     return common::InvalidArgument("open loop: rate must be positive");
   }
@@ -482,30 +502,6 @@ common::StatusOr<OpenLoopResult> RunOpenLoopImpl(core::Vld& vld,
     result.breakdown = tracer->totals() - totals_before;
   }
   return result;
-}
-
-}  // namespace
-
-common::StatusOr<OpenLoopResult> RunOpenLoopPoisson(core::Vld& vld,
-                                                    const OpenLoopOptions& options,
-                                                    obs::Timeline* timeline,
-                                                    obs::WindowedHistogram* latency) {
-  return RunOpenLoopImpl(vld, options, /*governor=*/nullptr, timeline, latency);
-}
-
-std::vector<common::Time> GenerateArrivals(const OpenLoopOptions& options, common::Time start) {
-  common::Rng rng(options.seed);
-  std::vector<common::Time> out;
-  AppendArrivals(options, start, rng, out);
-  return out;
-}
-
-common::StatusOr<OpenLoopResult> RunGovernedOpenLoop(core::Vld& vld,
-                                                     const OpenLoopOptions& options,
-                                                     core::CompactionGovernor* governor,
-                                                     obs::Timeline* timeline,
-                                                     obs::WindowedHistogram* latency) {
-  return RunOpenLoopImpl(vld, options, governor, timeline, latency);
 }
 
 }  // namespace vlog::workload

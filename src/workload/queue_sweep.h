@@ -1,11 +1,12 @@
-// Closed-loop multi-stream random-update driver for the queued VLD write engine.
+// Closed-loop and open-loop workload drivers for the queued I/O engine.
 //
-// Models `depth` independent streams, each keeping exactly one 4 KB random update
-// outstanding: the device accepts a queue's worth of requests, services them with the
-// controller pipelined against the media, and acknowledges the whole group when its single
-// packed map commit is durable — at which point every stream immediately submits its next
-// update (closed loop). Per-request latency is measured submit -> group-commit on the virtual
-// clock; IOPS over the measured interval. Depth 1 degenerates to the synchronous Write path.
+// The closed-loop update driver models `depth` independent streams, each keeping exactly one
+// 4 KB random update outstanding: the device accepts a queue's worth of requests, services
+// them with the controller pipelined against the media, and acknowledges the whole group when
+// its packed map commit is durable (on an array: one commit per touched member, behind the
+// cross-disk barrier) — at which point every stream immediately submits its next update.
+// Per-request latency is measured submit -> acknowledgement on the device's Now() clock; IOPS
+// over the measured interval. Depth 1 degenerates to the synchronous Write path.
 #ifndef SRC_WORKLOAD_QUEUE_SWEEP_H_
 #define SRC_WORKLOAD_QUEUE_SWEEP_H_
 
@@ -20,34 +21,50 @@
 #include "src/obs/histogram.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
+#include "src/simdisk/block_device.h"
 
 namespace vlog::workload {
 
-struct QueueDepthResult {
-  uint32_t depth = 0;
-  uint64_t updates = 0;           // Measured requests (excludes warmup).
-  double iops = 0;                // Measured requests per simulated second.
+// What the measured requests of a run cost: their count and rate, and exact order statistics
+// of the per-request latencies (read off the sorted sample, not estimated from the histogram)
+// beside the mergeable histogram.
+struct LatencySummary {
+  uint64_t requests = 0;  // Measured requests (excludes warmup).
+  double iops = 0;        // Measured requests per simulated second.
   common::Duration mean_latency = 0;
   common::Duration p50_latency = 0;
   common::Duration p90_latency = 0;
   common::Duration p99_latency = 0;
   common::Duration max_latency = 0;
+  obs::LatencyHistogram latency_hist;  // Per-request latencies (ns), mergeable.
+};
+
+// Summarizes `latencies`, measured over `elapsed` of simulated time.
+LatencySummary SummarizeLatencies(std::vector<common::Duration> latencies,
+                                  common::Duration elapsed);
+
+struct QueueDepthResult : LatencySummary {
+  uint32_t depth = 0;
   // Mean time a request waited behind earlier queue entries before its controller work began
-  // (FlushQueue services FIFO; placement is eager so service order cannot improve writes).
+  // (FlushQueue services writes FIFO; placement is eager so service order cannot improve them).
   common::Duration mean_queue_delay = 0;
-  // Per-request latencies (ns) over the measured window, for mergeable percentile export.
-  obs::LatencyHistogram latency_hist;
   // Sum over measured requests of where their time went; components add up to the total
-  // simulated request time. Zero unless a TraceRecorder is attached to the Vld's disk.
+  // simulated request time. Zero unless a TraceRecorder is passed in.
   obs::TimeBreakdown breakdown;
 };
 
-// Runs `warmup` unmeasured then `updates` measured random 4 KB updates over the first half of
-// the device's logical space, `depth` streams closed-loop. The Vld must be freshly formatted
-// with queue_depth >= depth.
-common::StatusOr<QueueDepthResult> RunQueuedRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                          int updates, int warmup,
-                                                          uint64_t seed = 2);
+// Runs `warmup` unmeasured then `updates` measured random 4 KB updates over the first
+// `region_blocks` 4 KB blocks of `dev` (0 = the first half), `depth` streams closed-loop.
+// Block b's payload is the affine pattern tagged b * 131 (see payload.h), so reads can verify
+// it later. The device must be freshly formatted with queue_depth() >= depth. `tracer` is the
+// recorder attached to the device's disk (its totals become the breakdown); when `timeline` is
+// non-null it is Poll()ed with dev.Now() at every batch boundary, warmup included; when
+// `latency` is non-null every measured latency is recorded there too, so a timeline window
+// histogram tracks the same series the result summarizes.
+common::StatusOr<QueueDepthResult> RunClosedLoopUpdates(
+    simdisk::BlockDevice& dev, uint32_t depth, int updates, int warmup, uint64_t seed = 2,
+    uint32_t region_blocks = 0, obs::TraceRecorder* tracer = nullptr,
+    obs::Timeline* timeline = nullptr, obs::WindowedHistogram* latency = nullptr);
 
 // --- Mixed read/write multi-stream driver (SubmitRead + SubmitWrite through one queue) ---
 
@@ -110,7 +127,7 @@ struct MixedStreamOptions {
 common::StatusOr<MixedStreamResult> RunMixedStreams(core::Vld& vld,
                                                     const MixedStreamOptions& options);
 
-// --- Open-loop Poisson arrival driver ---
+// --- Open-loop arrival driver ---
 //
 // Unlike the closed-loop drivers above (where the submission rate adapts to the device —
 // saturation shows up as flat throughput, never as unbounded queues), arrivals here are an
@@ -167,29 +184,22 @@ struct OpenLoopResult {
   obs::TimeBreakdown breakdown;        // Tracer totals over the run (zero untraced).
 };
 
-// Runs `arrivals` open-loop 4 KB random ops over the first half of the logical space. When
-// `timeline` is non-null it is Poll()ed at every batch boundary and idle jump (the driver
-// never calls Finish — the caller owns export). When `latency` is non-null every completion's
-// arrival->completion latency is recorded there as well as in the result histogram, so a
-// timeline window histogram can track the same series. The Vld must be freshly formatted.
-common::StatusOr<OpenLoopResult> RunOpenLoopPoisson(core::Vld& vld,
-                                                    const OpenLoopOptions& options,
-                                                    obs::Timeline* timeline = nullptr,
-                                                    obs::WindowedHistogram* latency = nullptr);
-
-// The arrival schedule RunOpenLoopPoisson would use, relative to `start`: strictly increasing
+// The arrival schedule RunGovernedOpenLoop uses, relative to `start`: strictly increasing
 // timestamps, `options.arrivals` of them. kPoisson draws exponential interarrivals at the
 // piecewise rate; kOnOff/kDiurnal thin a max-rate Poisson stream against the instantaneous
 // rate (Lewis-Shedler), so non-homogeneous schedules stay a pure function of (seed, options).
 // Clock-pure: reads and advances nothing.
 std::vector<common::Time> GenerateArrivals(const OpenLoopOptions& options, common::Time start);
 
-// RunOpenLoopPoisson with duty-cycled background compaction: between foreground batches the
-// driver offers the governor a grant (RunBurst(0)), and on idle jumps it declares the arrival
-// gap as a trough (RunBurst(gap)) before advancing to the next arrival. `governor` must
-// govern `vld`; passing nullptr is exactly RunOpenLoopPoisson. The timeline (when non-null)
-// is additionally Polled after each governed burst so compaction time lands in the right
-// window.
+// Runs `arrivals` open-loop 4 KB random ops over the first `region_blocks` logical blocks
+// (0 = the first half). When `governor` is non-null (it must govern `vld`), background
+// compaction is duty-cycled in: between foreground batches the driver offers the governor a
+// grant (RunBurst(0)), and on idle jumps it declares the arrival gap as a trough
+// (RunBurst(gap)) before advancing to the next arrival. When `timeline` is non-null it is
+// Poll()ed at every batch boundary, idle jump and governed burst (the driver never calls
+// Finish — the caller owns export). When `latency` is non-null every completion's
+// arrival->completion latency is recorded there as well as in the result histogram, so a
+// timeline window histogram can track the same series. The Vld must be freshly formatted.
 common::StatusOr<OpenLoopResult> RunGovernedOpenLoop(core::Vld& vld,
                                                      const OpenLoopOptions& options,
                                                      core::CompactionGovernor* governor,

@@ -6,6 +6,9 @@
 // These tests drive both stacks with the same seeded mixed workload (small staged writes,
 // large direct writes, overlapping overwrites, trims, atomic batches, queued rounds, and
 // duty-cycled destage bursts at arbitrary interior points) and compare every touched block.
+// The backing device is a VLD or a 2-member striped VldArray: the stage fronts any block
+// device, and the array input drops only the two extensions an array does not have (trim and
+// atomic batches).
 //
 // The second half checks the tracing contract: depth-1 sync writes through a traced stage
 // still satisfy the exact breakdown identity (Accounted + queueing == latency, summed), with
@@ -18,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/array/vld_array.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/core/vld.h"
@@ -41,51 +45,60 @@ std::vector<std::byte> Pattern(size_t n, uint32_t seed) {
   return v;
 }
 
-// One stack: a VLD on its own small disk, optionally fronted by an NVM stage. The two stacks
-// in a differential run get independent clocks deliberately — NVM acks shift all subsequent
-// timing, so identical content despite divergent clocks is exactly the property under test.
+// One stack: a VLD on its own small disk — or, with `striped`, a 2-member striped array of
+// two such VLDs, each with its own disk and clock — optionally fronted by an NVM stage. The
+// two stacks in a differential run get independent clocks deliberately — NVM acks shift all
+// subsequent timing, so identical content despite divergent clocks is exactly the property
+// under test.
 struct Stack {
-  explicit Stack(bool staged) {
+  explicit Stack(bool staged, bool striped = false) {
     disk = std::make_unique<simdisk::SimDisk>(
         simdisk::Truncated(simdisk::SeagateSt19101(), 3), &clock);
     vld = std::make_unique<Vld>(disk.get(), VldConfig{.queue_depth = 16});
-    EXPECT_TRUE(vld->Format().ok());
+    backing = vld.get();
+    if (striped) {
+      disk2 = std::make_unique<simdisk::SimDisk>(
+          simdisk::Truncated(simdisk::SeagateSt19101(), 3), &clock2);
+      vld2 = std::make_unique<Vld>(disk2.get(), VldConfig{.queue_depth = 16});
+      array = std::make_unique<array::VldArray>(std::vector<Vld*>{vld.get(), vld2.get()},
+                                                array::VldArrayConfig{});
+      backing = array.get();
+      EXPECT_TRUE(array->Format().ok());
+    } else {
+      EXPECT_TRUE(vld->Format().ok());
+    }
+    front = backing;
     if (staged) {
       nvm = std::make_unique<simdisk::NvmDevice>(simdisk::NvmDeviceParams{}, &clock);
-      stage = std::make_unique<NvmStage>(nvm.get(), vld.get(), NvmStageConfig{});
+      stage = std::make_unique<NvmStage>(nvm.get(), backing, NvmStageConfig{});
       EXPECT_TRUE(stage->Format().ok());
+      front = stage.get();
     }
   }
 
-  common::Status Write(simdisk::Lba lba, std::span<const std::byte> in) {
-    return stage != nullptr ? stage->Write(lba, in) : vld->Write(lba, in);
-  }
-  common::Status Read(simdisk::Lba lba, std::span<std::byte> out) {
-    return stage != nullptr ? stage->Read(lba, out) : vld->Read(lba, out);
-  }
-  common::Status Trim(simdisk::Lba lba, uint64_t sectors) {
-    return stage != nullptr ? stage->Trim(lba, sectors) : vld->Trim(lba, sectors);
-  }
-  common::Status WriteAtomic(std::span<const Vld::AtomicWrite> writes) {
-    return stage != nullptr ? stage->WriteAtomic(writes) : vld->WriteAtomic(writes);
-  }
-  common::Status QueuedRound(std::span<const Vld::AtomicWrite> writes) {
-    for (const Vld::AtomicWrite& w : writes) {
-      auto id = stage != nullptr ? stage->SubmitWrite(w.lba, w.data)
-                                 : vld->SubmitWrite(w.lba, w.data);
-      if (!id.ok()) {
-        return id.status();
-      }
+  // A queued round: every write submitted, then one FlushQueue.
+  common::Status QueuedRound(std::span<const simdisk::AtomicWrite> writes) {
+    for (const simdisk::AtomicWrite& w : writes) {
+      RETURN_IF_ERROR(front->SubmitWrite(w.lba, w.data).status());
     }
-    auto done = stage != nullptr ? stage->FlushQueue() : vld->FlushQueue();
-    return done.status();
+    return front->FlushQueue().status();
+  }
+  // Host writes that reached the members through their queues.
+  uint64_t QueuedWrites() const {
+    return vld->stats().queued_writes + (vld2 != nullptr ? vld2->stats().queued_writes : 0);
   }
 
-  common::Clock clock;
+  common::Clock clock;   // Member 0's disk and the NVM device.
+  common::Clock clock2;  // Member 1's disk (striped only).
   std::unique_ptr<simdisk::SimDisk> disk;
+  std::unique_ptr<simdisk::SimDisk> disk2;
   std::unique_ptr<Vld> vld;
+  std::unique_ptr<Vld> vld2;
+  std::unique_ptr<array::VldArray> array;
   std::unique_ptr<simdisk::NvmDevice> nvm;
   std::unique_ptr<NvmStage> stage;
+  simdisk::BlockDevice* backing = nullptr;  // The VLD or the array.
+  simdisk::BlockDevice* front = nullptr;    // The stage when there is one, else `backing`.
 };
 
 // Drives `plain` and `staged` through the same seeded workload, recording which blocks were
@@ -93,26 +106,32 @@ struct Stack {
 void RunMixedWorkload(Stack& plain, Stack& staged, uint64_t seed,
                       std::map<uint32_t, uint32_t>& live) {
   common::Rng rng(seed);
-  const uint32_t blocks = plain.vld->logical_blocks();
-  ASSERT_EQ(blocks, staged.vld->logical_blocks());
+  const uint32_t blocks = static_cast<uint32_t>(plain.front->SectorCount() / kBlockSectors);
+  ASSERT_EQ(blocks, staged.front->SectorCount() / kBlockSectors);
   const uint32_t span = blocks - 8;  // Headroom for 4-block extents.
+  // An array has no trim or atomic batch: its input skips those two ops (the draw still
+  // happens, so a VLD input's sequence is independent of this).
+  const bool extensions = plain.array == nullptr;
   uint32_t version = 1;
   for (int op = 0; op < 240; ++op) {
     const uint32_t roll = static_cast<uint32_t>(rng.Below(100));
+    if (!extensions && roll >= 65 && roll < 83) {
+      continue;
+    }
     if (roll < 50) {
       // Small sync write: staged on one side, eager on the other.
       const uint32_t b = static_cast<uint32_t>(rng.Below(span));
       const auto data = Pattern(kBlockBytes, version);
-      ASSERT_TRUE(plain.Write(b * kBlockSectors, data).ok());
-      ASSERT_TRUE(staged.Write(b * kBlockSectors, data).ok());
+      ASSERT_TRUE(plain.front->Write(b * kBlockSectors, data).ok());
+      ASSERT_TRUE(staged.front->Write(b * kBlockSectors, data).ok());
       live[b] = version++;
     } else if (roll < 65) {
       // Large write: 4 blocks, above the staging threshold, routed around the stage. It
       // regularly overlaps previously staged blocks, exercising the conflict/invalidate path.
       const uint32_t b = static_cast<uint32_t>(rng.Below(span));
       const auto data = Pattern(4 * kBlockBytes, version);
-      ASSERT_TRUE(plain.Write(b * kBlockSectors, data).ok());
-      ASSERT_TRUE(staged.Write(b * kBlockSectors, data).ok());
+      ASSERT_TRUE(plain.front->Write(b * kBlockSectors, data).ok());
+      ASSERT_TRUE(staged.front->Write(b * kBlockSectors, data).ok());
       for (uint32_t i = 0; i < 4; ++i) {
         live[b + i] = version;  // All four blocks carry the same versioned pattern.
       }
@@ -120,8 +139,8 @@ void RunMixedWorkload(Stack& plain, Stack& staged, uint64_t seed,
     } else if (roll < 75) {
       // Trim of 2 blocks — another staged-conflict source; trimmed blocks leave the model.
       const uint32_t b = static_cast<uint32_t>(rng.Below(span));
-      ASSERT_TRUE(plain.Trim(b * kBlockSectors, 2 * kBlockSectors).ok());
-      ASSERT_TRUE(staged.Trim(b * kBlockSectors, 2 * kBlockSectors).ok());
+      ASSERT_TRUE(plain.front->Trim(b * kBlockSectors, 2 * kBlockSectors).ok());
+      ASSERT_TRUE(staged.front->Trim(b * kBlockSectors, 2 * kBlockSectors).ok());
       live.erase(b);
       live.erase(b + 1);
     } else if (roll < 83) {
@@ -133,8 +152,8 @@ void RunMixedWorkload(Stack& plain, Stack& staged, uint64_t seed,
       const auto d0 = Pattern(kBlockBytes, version);
       const auto d1 = Pattern(kBlockBytes, version + 1);
       const Vld::AtomicWrite writes[] = {{b0 * kBlockSectors, d0}, {b1 * kBlockSectors, d1}};
-      ASSERT_TRUE(plain.WriteAtomic(writes).ok());
-      ASSERT_TRUE(staged.WriteAtomic(writes).ok());
+      ASSERT_TRUE(plain.front->WriteAtomic(writes).ok());
+      ASSERT_TRUE(staged.front->WriteAtomic(writes).ok());
       live[b0] = version;
       live[b1] = version + 1;
       version += 2;
@@ -173,7 +192,7 @@ void RunMixedWorkload(Stack& plain, Stack& staged, uint64_t seed,
 }
 
 // Every live block must read back byte-identical across the two stacks — through the stage,
-// AND from the staged stack's backing VLD directly (the block-device-level identity: after
+// AND from the staged stack's backing device directly (the block-device-level identity: after
 // Drain() the stage must have pushed everything down, not merely be masking differences with
 // its overlay).
 void ExpectBitIdentical(Stack& plain, Stack& staged,
@@ -186,9 +205,9 @@ void ExpectBitIdentical(Stack& plain, Stack& staged,
   std::vector<std::byte> via_backing(kBlockBytes);
   for (const auto& [block, version] : live) {
     const simdisk::Lba lba = block * kBlockSectors;
-    ASSERT_TRUE(plain.Read(lba, want).ok()) << "block " << block;
-    ASSERT_TRUE(staged.Read(lba, via_stage).ok()) << "block " << block;
-    ASSERT_TRUE(staged.vld->Read(lba, via_backing).ok()) << "block " << block;
+    ASSERT_TRUE(plain.front->Read(lba, want).ok()) << "block " << block;
+    ASSERT_TRUE(staged.front->Read(lba, via_stage).ok()) << "block " << block;
+    ASSERT_TRUE(staged.backing->Read(lba, via_backing).ok()) << "block " << block;
     EXPECT_EQ(want, via_stage) << "stage-on read diverged at block " << block << " (version "
                                << version << ")";
     EXPECT_EQ(want, via_backing) << "backing device diverged at block " << block
@@ -211,13 +230,24 @@ TEST(NvmDifferentialTest, DrainedStageIsBitIdenticalToStageOff) {
 }
 
 TEST(NvmDifferentialTest, BitIdentityHoldsAcrossSeeds) {
-  for (uint64_t seed : {7u, 99u, 4242u}) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    Stack plain(/*staged=*/false);
-    Stack staged(/*staged=*/true);
-    std::map<uint32_t, uint32_t> live;
-    RunMixedWorkload(plain, staged, seed, live);
-    ExpectBitIdentical(plain, staged, live);
+  // Each seed runs over a VLD and over a 2-member striped array: the stage fronts either.
+  for (const bool striped : {false, true}) {
+    uint64_t conflict_destages = 0;  // Summed over seeds: the array's 2x span makes overlaps rarer.
+    for (uint64_t seed : {7u, 99u, 4242u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << (striped ? ", striped array" : ""));
+      Stack plain(/*staged=*/false, striped);
+      Stack staged(/*staged=*/true, striped);
+      std::map<uint32_t, uint32_t> live;
+      RunMixedWorkload(plain, staged, seed, live);
+      conflict_destages += staged.stage->stats().conflict_destages;
+      // The queued rounds reached every member's queue through the stage, one member write per
+      // host write (each round's extents are single blocks, inside one stripe unit).
+      EXPECT_GT(staged.vld->stats().queued_writes, 0u);
+      EXPECT_TRUE(staged.vld2 == nullptr || staged.vld2->stats().queued_writes > 0);
+      EXPECT_EQ(staged.QueuedWrites(), plain.QueuedWrites());
+      ExpectBitIdentical(plain, staged, live);
+    }
+    EXPECT_GT(conflict_destages, 0u);
   }
 }
 
@@ -233,12 +263,13 @@ TEST(NvmDifferentialTest, RecoveredStageStillConvergesToStageOff) {
   // "Crash": adopt the NVM media into a new device + stage; the old overlay is gone.
   auto nvm2 = std::make_unique<simdisk::NvmDevice>(simdisk::NvmDeviceParams{}, &staged.clock,
                                                    staged.nvm->Snapshot());
-  auto stage2 = std::make_unique<NvmStage>(nvm2.get(), staged.vld.get(), NvmStageConfig{});
+  auto stage2 = std::make_unique<NvmStage>(nvm2.get(), staged.backing, NvmStageConfig{});
   auto info = stage2->Recover();
   ASSERT_TRUE(info.ok()) << info.status().message();
   EXPECT_FALSE(info->torn_tail_dropped);
   staged.nvm = std::move(nvm2);
   staged.stage = std::move(stage2);
+  staged.front = staged.stage.get();
   ExpectBitIdentical(plain, staged, live);
 }
 
@@ -265,7 +296,7 @@ TracedRun RunTracedSync(int writes, bool small) {
   for (int i = 0; i < writes; ++i) {
     const auto data = Pattern(bytes, static_cast<uint32_t>(i));
     EXPECT_TRUE(
-        staged.Write(static_cast<simdisk::Lba>(rng.Below(span)) * kBlockSectors, data).ok());
+        staged.front->Write(static_cast<simdisk::Lba>(rng.Below(span)) * kBlockSectors, data).ok());
   }
   TracedRun run;
   run.latency_sum = tracer.latency_hist().Sum();
@@ -307,7 +338,7 @@ TEST(NvmBreakdownTest, DestageBurstsAndDrainPreserveIdentity) {
   for (int i = 0; i < 32; ++i) {
     const auto data = Pattern(kBlockBytes, static_cast<uint32_t>(i));
     ASSERT_TRUE(
-        staged.Write(static_cast<simdisk::Lba>(rng.Below(span)) * kBlockSectors, data).ok());
+        staged.front->Write(static_cast<simdisk::Lba>(rng.Below(span)) * kBlockSectors, data).ok());
     if (i % 8 == 7) {
       ASSERT_TRUE(staged.stage->RunDestageBurst(common::Milliseconds(1)).ok());
     }
@@ -327,10 +358,10 @@ TEST(NvmBreakdownTest, StagedAckIsCheaperThanEagerWrite) {
   Stack plain(/*staged=*/false);
   const auto data = Pattern(kBlockBytes, 3);
   const common::Time s0 = staged.clock.Now();
-  ASSERT_TRUE(staged.Write(0, data).ok());
+  ASSERT_TRUE(staged.front->Write(0, data).ok());
   const common::Duration staged_cost = staged.clock.Now() - s0;
   const common::Time p0 = plain.clock.Now();
-  ASSERT_TRUE(plain.Write(0, data).ok());
+  ASSERT_TRUE(plain.front->Write(0, data).ok());
   const common::Duration eager_cost = plain.clock.Now() - p0;
   EXPECT_LT(staged_cost, eager_cost / 10);
 }

@@ -173,6 +173,44 @@ TEST_F(NvmStageTest, OverflowTriggersDrainAndEpochReset) {
   }
 }
 
+TEST_F(NvmStageTest, ConflictThatOverflowsTheLogDestagesEachSectorOnce) {
+  // Room for exactly four one-sector records: a conflict's invalidate record does not fit, so
+  // the conflict path falls back to a full drain. The drain must not write the sector the
+  // conflict already destaged a second time.
+  simdisk::NvmDeviceParams tiny = nvm_params_;
+  tiny.size_bytes = NvmStage::kSuperblockBytes + 4 * NvmStage::RecordBytes(kSectorBytes, 64);
+  auto nvm = std::make_unique<simdisk::NvmDevice>(tiny, &clock_);
+  NvmStage stage(nvm.get(), vld_.get(), config_);
+  ASSERT_TRUE(stage.Format().ok());
+  const simdisk::Lba staged_lbas[] = {100, 116, 132, 148};
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(stage.Write(staged_lbas[i], Pattern(kSectorBytes, 70 + i)).ok());
+  }
+  ASSERT_EQ(stage.log_records(), 4u);
+  const uint64_t destaged_before = stage.stats().destaged_sectors;
+  const uint64_t host_writes_before = vld_->stats().host_writes;
+  // A 9-sector direct write over the staged sector at 100 only.
+  const auto big = Pattern(kSectorBytes * 9, 80);
+  ASSERT_TRUE(stage.Write(100, big).ok());
+  EXPECT_EQ(stage.stats().overflow_drains, 1u);
+  // Sector 100 by the conflict, 116/132/148 by the drain; then the direct write itself.
+  EXPECT_EQ(stage.stats().destaged_sectors - destaged_before, 4u);
+  EXPECT_EQ(vld_->stats().host_writes - host_writes_before, 5u);
+  EXPECT_EQ(stage.staged_sectors(), 0u);
+  std::vector<std::byte> out(big.size());
+  ASSERT_TRUE(stage.Read(100, out).ok());
+  EXPECT_EQ(out, big);
+  ASSERT_TRUE(vld_->Read(100, out).ok());
+  EXPECT_EQ(out, big);
+  std::vector<std::byte> sector(kSectorBytes);
+  for (uint32_t i = 1; i < 4; ++i) {
+    ASSERT_TRUE(stage.Read(staged_lbas[i], sector).ok());
+    EXPECT_EQ(sector, Pattern(kSectorBytes, 70 + i)) << "lba " << staged_lbas[i];
+    ASSERT_TRUE(vld_->Read(staged_lbas[i], sector).ok());
+    EXPECT_EQ(sector, Pattern(kSectorBytes, 70 + i)) << "lba " << staged_lbas[i];
+  }
+}
+
 TEST_F(NvmStageTest, QueuedPassthroughsRequireAVldBacking) {
   auto nvm = std::make_unique<simdisk::NvmDevice>(nvm_params_, &clock_);
   NvmStage raw(nvm.get(), static_cast<simdisk::BlockDevice*>(disk_.get()), config_);

@@ -308,7 +308,7 @@ OpenLoopRun RunOpenLoop() {
                                           .arrivals = 300,
                                           .seed = 2};
   OpenLoopRun run;
-  auto result = workload::RunOpenLoopPoisson(vld, options, &tl, &lat);
+  auto result = workload::RunGovernedOpenLoop(vld, options, /*governor=*/nullptr, &tl, &lat);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   run.result = std::move(result).value();
   tl.Finish(clock.Now());

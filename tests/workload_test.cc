@@ -1,7 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/array/vld_array.h"
+#include "src/core/governor.h"
+#include "src/core/vld.h"
+#include "src/obs/timeline.h"
+#include "src/obs/trace.h"
+#include "src/simdisk/disk_params.h"
+#include "src/simdisk/sim_disk.h"
 #include "src/workload/benchmarks.h"
 #include "src/workload/platform.h"
+#include "src/workload/queue_sweep.h"
 
 namespace vlog::workload {
 namespace {
@@ -141,6 +156,158 @@ TEST(Benchmarks, UpdateUtilizationReported) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->fs_utilization, 0.2);
   EXPECT_LT(result->fs_utilization, 0.9);
+}
+
+// --- Driver golden: every workload driver's output on a short run, pinned ------------------
+//
+// tests/golden/workload_driver_summaries.txt holds one line per run: "<key>\t<summary>". The
+// summary pins IOPS at full precision, the latency histogram's count, sum, p50 and p99, the
+// tracer's breakdown total and the open loop's peak backlog, so a driver edit that moves any
+// simulated byte shows up here rather than only in the benches' relative gates. A mismatch
+// prints the line the current code produces.
+
+const std::map<std::string, std::string>& DriverGolden() {
+  static const std::map<std::string, std::string> golden = [] {
+    std::map<std::string, std::string> lines;
+    std::ifstream in(VLOG_WORKLOAD_GOLDEN);
+    std::string line;
+    while (std::getline(in, line)) {
+      const size_t tab = line.find('\t');
+      if (tab != std::string::npos) {
+        lines.emplace(line.substr(0, tab), line.substr(tab + 1));
+      }
+    }
+    return lines;
+  }();
+  return golden;
+}
+
+void ExpectDriverGolden(const std::string& key, double iops,
+                        const obs::LatencyHistogram& hist, common::Duration breakdown_total,
+                        uint64_t max_backlog) {
+  char summary[256];
+  std::snprintf(summary, sizeof(summary),
+                "iops=%.17g count=%llu sum=%llu p50=%.17g p99=%.17g breakdown=%lld backlog=%llu",
+                iops, static_cast<unsigned long long>(hist.Count()),
+                static_cast<unsigned long long>(hist.Sum()), hist.Percentile(50),
+                hist.Percentile(99), static_cast<long long>(breakdown_total),
+                static_cast<unsigned long long>(max_backlog));
+  const auto it = DriverGolden().find(key);
+  EXPECT_TRUE(it != DriverGolden().end() && it->second == summary)
+      << (it == DriverGolden().end() ? "no golden line for " : "line differs from golden for ")
+      << key << " in " << VLOG_WORKLOAD_GOLDEN << "; the current line is:\n"
+      << key << "\t" << summary;
+}
+
+// One traced VLD on the truncated HP97560 the queue-depth bench uses.
+struct DriverRig {
+  explicit DriverRig(core::VldConfig config = core::VldConfig{.queue_depth = 32},
+                     uint32_t cylinders = 36)
+      : disk(simdisk::Truncated(simdisk::Hp97560(), cylinders), &clock), tracer(&clock),
+        vld(&disk, config) {
+    disk.set_tracer(&tracer);
+    EXPECT_TRUE(vld.Format().ok());
+  }
+  common::Clock clock;
+  simdisk::SimDisk disk;
+  obs::TraceRecorder tracer;
+  core::Vld vld;
+};
+
+TEST(DriverGoldenTest, ClosedLoopUpdatesOnBareVld) {
+  DriverRig rig;
+  auto r = RunClosedLoopUpdates(rig.vld, /*depth=*/8, /*updates=*/160, /*warmup=*/16,
+                                /*seed=*/2, /*region_blocks=*/0, &rig.tracer);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectDriverGolden("updates/vld", r->iops, r->latency_hist, r->breakdown.Total(), 0);
+}
+
+TEST(DriverGoldenTest, ClosedLoopUpdatesOnStripedArrayWithTimeline) {
+  std::vector<std::unique_ptr<common::Clock>> clocks;
+  std::vector<std::unique_ptr<simdisk::SimDisk>> disks;
+  std::vector<std::unique_ptr<core::Vld>> vlds;
+  std::vector<core::Vld*> members;
+  for (int m = 0; m < 2; ++m) {
+    clocks.push_back(std::make_unique<common::Clock>());
+    disks.push_back(std::make_unique<simdisk::SimDisk>(
+        simdisk::Truncated(simdisk::Hp97560(), 36), clocks.back().get()));
+    vlds.push_back(
+        std::make_unique<core::Vld>(disks.back().get(), core::VldConfig{.queue_depth = 32}));
+    members.push_back(vlds.back().get());
+  }
+  array::VldArray array(members, {.mode = array::ArrayMode::kStriped});
+  ASSERT_TRUE(array.Format().ok());
+  obs::Timeline timeline(
+      obs::TimelineConfig{.window = common::Milliseconds(50), .start = array.Now()});
+  obs::WindowedHistogram& latency = timeline.AddHistogram("latency");
+  array.RegisterTimelineProbes(timeline);
+  auto r = RunClosedLoopUpdates(array, /*depth=*/8, /*updates=*/160, /*warmup=*/16,
+                                /*seed=*/2, /*region_blocks=*/0, /*tracer=*/nullptr, &timeline,
+                                &latency);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(latency.total().Count(), r->latency_hist.Count());
+  ExpectDriverGolden("updates/array2", r->iops, r->latency_hist, 0, 0);
+}
+
+TEST(DriverGoldenTest, MixedStreamsUnderFcfsAndSptf) {
+  for (const simdisk::SchedulerPolicy policy :
+       {simdisk::SchedulerPolicy::kFcfs, simdisk::SchedulerPolicy::kSptf}) {
+    DriverRig rig(core::VldConfig{.queue_depth = 32, .read_policy = policy});
+    MixedStreamOptions options;
+    options.streams = 8;
+    options.ops = 200;
+    options.warmup = 20;
+    options.stream_configs = {StreamConfig{.read_fraction = 0.5}};
+    auto r = RunMixedStreams(rig.vld, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectDriverGolden(
+        policy == simdisk::SchedulerPolicy::kFcfs ? "mixed/fcfs" : "mixed/sptf", r->iops,
+        r->latency_hist, r->breakdown.Total(), 0);
+  }
+}
+
+TEST(DriverGoldenTest, OpenLoopWithBurst) {
+  DriverRig rig;
+  const OpenLoopOptions options{.rate_ops_per_s = 150,
+                                .burst_rate_ops_per_s = 1200,
+                                .burst_start = common::Milliseconds(200),
+                                .burst_duration = common::Milliseconds(200),
+                                .arrivals = 300,
+                                .seed = 2};
+  auto r = RunGovernedOpenLoop(rig.vld, options, /*governor=*/nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectDriverGolden("openloop/burst", r->achieved_iops, r->latency_hist,
+                     r->breakdown.Total(), r->max_backlog);
+}
+
+TEST(DriverGoldenTest, GovernedDiurnalOpenLoop) {
+  // The governor test's small high-utilization rig, so the run compacts within 1100 arrivals.
+  DriverRig rig(core::VldConfig{.queue_depth = 16}, /*cylinders=*/6);
+  OpenLoopOptions options;
+  options.process = ArrivalProcess::kDiurnal;
+  options.rate_ops_per_s = 40;
+  options.diurnal_period = common::Seconds(2);
+  options.diurnal_amplitude = 0.75;
+  options.arrivals = 1100;
+  options.region_blocks = static_cast<uint32_t>(rig.vld.logical_blocks() * 0.55);
+  options.max_batch = 8;
+  options.seed = 3;
+  std::vector<std::byte> payload(4096);
+  for (uint32_t b = 0; b < options.region_blocks; ++b) {
+    ASSERT_TRUE(rig.vld.Write(static_cast<simdisk::Lba>(b) * 8, payload).ok());
+  }
+  obs::Timeline timeline(
+      obs::TimelineConfig{.window = common::Milliseconds(200), .start = rig.clock.Now()});
+  obs::WindowedHistogram& latency = timeline.AddHistogram("latency");
+  core::GovernorConfig gov_config;
+  gov_config.slo_budget = common::Milliseconds(150);
+  gov_config.target_empty_tracks = 8;
+  core::CompactionGovernor governor(&rig.vld, &timeline, gov_config);
+  auto r = RunGovernedOpenLoop(rig.vld, options, &governor, &timeline, &latency);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(rig.vld.compactor().stats().tracks_compacted, 0u);
+  ExpectDriverGolden("openloop/governed_diurnal", r->achieved_iops, r->latency_hist,
+                     r->breakdown.Total(), r->max_backlog);
 }
 
 }  // namespace

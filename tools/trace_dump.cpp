@@ -303,6 +303,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<simdisk::NvmDevice> nvm_dev;
   std::unique_ptr<core::NvmStage> nvm_stage;
   std::unique_ptr<array::VldArray> array;
+  // `backing` is the bare VLD or the array; `front` is what the workload drives: the stage
+  // over the backing device with --nvm, the backing device itself otherwise.
+  simdisk::BlockDevice* backing = stacks[0]->vld.get();
   if (array_members > 0) {
     std::vector<core::Vld*> vlds;
     for (const auto& s : stacks) {
@@ -311,36 +314,23 @@ int main(int argc, char** argv) {
     array = std::make_unique<array::VldArray>(std::move(vlds),
                                               array::VldArrayConfig{.mode = array::ArrayMode::kStriped});
     Fatal(array->Format(), "format");
+    backing = array.get();
   } else {
     Fatal(stacks[0]->vld->Format(), "format");
   }
+  simdisk::BlockDevice* front = backing;
   if (nvm) {
     nvm_dev = std::make_unique<simdisk::NvmDevice>(simdisk::NvmDeviceParams{},
                                                    &stacks[0]->clock);
-    nvm_stage = std::make_unique<core::NvmStage>(nvm_dev.get(), stacks[0]->vld.get());
+    nvm_stage = std::make_unique<core::NvmStage>(nvm_dev.get(), backing);
     Fatal(nvm_stage->Format(), "stage format");
     nvm_stage->set_tracer(stacks[0]->tracer.get());
+    front = nvm_stage.get();
   }
 
-  const uint64_t sectors =
-      array != nullptr ? array->SectorCount() : stacks[0]->vld->SectorCount();
-  const uint32_t blocks = static_cast<uint32_t>(sectors / 8) / 2;
+  const uint32_t blocks = static_cast<uint32_t>(front->SectorCount() / 8) / 2;
   common::Rng rng(2);
   std::vector<std::byte> payload(4096, std::byte{0x42});
-  const auto submit_write = [&](simdisk::Lba lba) {
-    if (nvm_stage != nullptr) {
-      return nvm_stage->SubmitWrite(lba, payload).status();
-    }
-    return array != nullptr ? array->SubmitWrite(lba, payload).status()
-                            : stacks[0]->vld->SubmitWrite(lba, payload).status();
-  };
-  const auto submit_read = [&](simdisk::Lba lba) {
-    if (nvm_stage != nullptr) {
-      return nvm_stage->SubmitRead(lba, 8).status();
-    }
-    return array != nullptr ? array->SubmitRead(lba, 8).status()
-                            : stacks[0]->vld->SubmitRead(lba, 8).status();
-  };
   if (read_fraction > 0) {
     // Prepopulate the region with the tracers detached, so reads hit mapped blocks without
     // hundreds of setup spans bloating the dump.
@@ -348,9 +338,7 @@ int main(int argc, char** argv) {
       s->disk->set_tracer(nullptr);
     }
     for (uint32_t b = 0; b < blocks; ++b) {
-      Fatal(array != nullptr ? array->Write(static_cast<simdisk::Lba>(b) * 8, payload)
-                             : stacks[0]->vld->Write(static_cast<simdisk::Lba>(b) * 8, payload),
-            "prepopulate");
+      Fatal(backing->Write(static_cast<simdisk::Lba>(b) * 8, payload), "prepopulate");
     }
     for (const auto& s : stacks) {
       s->disk->set_tracer(s->tracer.get());
@@ -375,13 +363,10 @@ int main(int argc, char** argv) {
   // steady-state watch on the latency series.
   std::unique_ptr<obs::Timeline> timeline;
   obs::WindowedHistogram* timeline_latency = nullptr;
-  const auto device_now = [&] {
-    return array != nullptr ? array->now() : stacks[0]->clock.Now();
-  };
   if (show_timeline) {
     timeline = std::make_unique<obs::Timeline>(obs::TimelineConfig{
         .window = common::Milliseconds(static_cast<common::Duration>(window_ms)),
-        .start = device_now()});
+        .start = front->Now()});
     timeline_latency = &timeline->AddHistogram("latency");
     if (array != nullptr) {
       for (uint32_t m = 0; m < members; ++m) {
@@ -421,36 +406,27 @@ int main(int argc, char** argv) {
       if (read_fraction > 0 && i + 1 == depth && have_write) {
         // The round's last op re-reads its first write: a guaranteed same-batch RAW, so the
         // forwarding markers are part of the mixed fixture.
-        Fatal(submit_read(raw_lba), "submit raw read");
+        Fatal(front->SubmitRead(raw_lba, 8).status(), "submit raw read");
         continue;
       }
       const simdisk::Lba lba = static_cast<simdisk::Lba>(rng.Below(blocks)) * 8;
       if (read_fraction > 0 && rng.Chance(read_fraction)) {
-        Fatal(submit_read(lba), "submit read");
+        Fatal(front->SubmitRead(lba, 8).status(), "submit read");
       } else {
-        Fatal(submit_write(lba), "submit");
+        Fatal(front->SubmitWrite(lba, payload).status(), "submit");
         if (!have_write) {
           have_write = true;
           raw_lba = lba;
         }
       }
     }
-    const auto flush = [&](auto& dev) {
-      auto done = dev.FlushQueue();
-      Fatal(done.status(), "flush");
-      if (timeline != nullptr) {
-        for (const auto& c : done.value()) {
-          timeline_latency->Record(c.Latency());
-        }
-        timeline->Poll(device_now());
+    auto done = front->FlushQueue();
+    Fatal(done.status(), "flush");
+    if (timeline != nullptr) {
+      for (const simdisk::QueuedCompletion& c : done.value()) {
+        timeline_latency->Record(c.Latency());
       }
-    };
-    if (array != nullptr) {
-      flush(*array);
-    } else if (nvm_stage != nullptr) {
-      flush(*nvm_stage);
-    } else {
-      flush(*stacks[0]->vld);
+      timeline->Poll(front->Now());
     }
     if (nvm_stage != nullptr) {
       // One small staged sync write (an NVM log append), an overlapping above-threshold
@@ -464,14 +440,14 @@ int main(int argc, char** argv) {
       }
       Fatal(nvm_stage->RunDestageBurst(common::Milliseconds(2)).status(), "destage");
       if (timeline != nullptr) {
-        timeline->Poll(device_now());
+        timeline->Poll(front->Now());
       }
     }
     if (governor != nullptr) {
       // Even rounds declare a small idle gap (granted in full); odd rounds only get whatever
       // credit the duty cycle accrued — both grant paths appear in the gov.* series.
       governor->RunBurst(round % 2 == 0 ? common::Milliseconds(10) : common::Duration{0});
-      timeline->Poll(device_now());
+      timeline->Poll(front->Now());
     }
   }
 
@@ -479,7 +455,7 @@ int main(int argc, char** argv) {
     Fatal(nvm_stage->Drain(), "drain");
   }
   if (timeline != nullptr) {
-    timeline->Finish(device_now());
+    timeline->Finish(front->Now());
     if (show_json) {
       std::printf("%s\n", timeline->Json().c_str());
     } else {
