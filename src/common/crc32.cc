@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "src/common/bytes.h"
 #include "src/common/crc32_internal.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -46,22 +47,10 @@ const Tables& T() {
   return tables;
 }
 
-#ifdef VLOG_CRC32C_SSE42
-// The SSE4.2 `crc32` instruction computes exactly this reflected CRC-32C step (without the
-// pre/post inversion), eight bytes per instruction. One instruction has a latency of three
-// cycles but a throughput of one per cycle, so a single dependent chain runs at a third of the
-// unit's speed. Long inputs therefore run as three interleaved chains over three adjacent
-// blocks of kLongBlock (then kShortBlock) bytes: the first chain continues the running CRC,
-// the other two start from zero. The raw (uninverted) CRC is linear, so appending a block B to
-// a state c gives Shift_|B|(c) ^ crc(0, B), where Shift_n feeds n zero bytes; one round ends
-// with c = Shift(Shift(c0) ^ c1) ^ c2. Shift_n is a GF(2)-linear map of the 32-bit state, so a
-// 4 x 256 table of its values on each byte lane applies it in four lookups. Inputs shorter
-// than one short round stay on one chain after a single compare (24-byte superblocks, 44-byte
-// record headers). The sizes come from per-size timings (EXPERIMENTS.md "NVM stage path").
-constexpr size_t kLongBlock = 1360;  // 4096-byte blocks: one long round plus a 16-byte tail.
-constexpr size_t kShortBlock = 168;  // 508-byte map sectors: one short round plus 4 bytes.
-constexpr size_t kMultiStreamCutoff = 3 * kShortBlock;
-
+// Shift_n: the raw (uninverted) CRC state after feeding n zero bytes, as a function of the
+// state before them. It is a GF(2)-linear map of the 32-bit state, so a 4 x 256 table of its
+// values on each byte lane applies it in four lookups. The SSE4.2 path combines its parallel
+// chains with it; Crc32cXorWord moves a change in one word to the end of the message with it.
 struct ShiftTable {
   std::array<std::array<uint32_t, 256>, 4> t{};
 };
@@ -96,13 +85,28 @@ constexpr ShiftTable BuildShiftTable(size_t n) {
   return table;
 }
 
-constexpr ShiftTable kShiftLong = BuildShiftTable(kLongBlock);
-constexpr ShiftTable kShiftShort = BuildShiftTable(kShortBlock);
-
 inline uint64_t Shift(const ShiftTable& s, uint64_t crc) {
   return s.t[0][crc & 0xff] ^ s.t[1][(crc >> 8) & 0xff] ^ s.t[2][(crc >> 16) & 0xff] ^
          s.t[3][(crc >> 24) & 0xff];
 }
+
+#ifdef VLOG_CRC32C_SSE42
+// The SSE4.2 `crc32` instruction computes exactly this reflected CRC-32C step (without the
+// pre/post inversion), eight bytes per instruction. One instruction has a latency of three
+// cycles but a throughput of one per cycle, so a single dependent chain runs at a third of the
+// unit's speed. Long inputs therefore run as three interleaved chains over three adjacent
+// blocks of kLongBlock (then kShortBlock) bytes: the first chain continues the running CRC,
+// the other two start from zero. The raw (uninverted) CRC is linear, so appending a block B to
+// a state c gives Shift_|B|(c) ^ crc(0, B), where Shift_n feeds n zero bytes; one round ends
+// with c = Shift(Shift(c0) ^ c1) ^ c2. Inputs shorter than one short round stay on one chain
+// after a single compare (24-byte superblocks, 44-byte record headers). The sizes come from
+// per-size timings (EXPERIMENTS.md "NVM stage path").
+constexpr size_t kLongBlock = 1360;  // 4096-byte blocks: one long round plus a 16-byte tail.
+constexpr size_t kShortBlock = 168;  // 508-byte map sectors: one short round plus 4 bytes.
+constexpr size_t kMultiStreamCutoff = 3 * kShortBlock;
+
+constexpr ShiftTable kShiftLong = BuildShiftTable(kLongBlock);
+constexpr ShiftTable kShiftShort = BuildShiftTable(kShortBlock);
 
 inline uint64_t LoadWord(const std::byte* p) {
   uint64_t word;
@@ -202,5 +206,19 @@ uint32_t Crc32c(std::span<const std::byte> data, uint32_t seed) {
   static const Crc32cFn impl = SelectCrc32c();
   return impl(data, seed);
 }
+
+template <size_t kTailBytes>
+uint32_t Crc32cXorWord(uint32_t crc, uint64_t delta) {
+  static constexpr ShiftTable kShift = BuildShiftTable(kTailBytes);
+  // Two messages of one length differing by D have CRCs (under any seed) differing by the raw
+  // CRC of D from a zero state. D is zero but for the word, and zero bytes ahead of it leave a
+  // zero state unchanged, so that raw CRC is the word's own, shifted through the tail.
+  std::array<std::byte, 8> word{};
+  StoreLe<uint64_t>(word, 0, delta);
+  const uint32_t raw = ~Crc32c(word, ~uint32_t{0});  // Seed ~0 starts from a zero state.
+  return crc ^ static_cast<uint32_t>(Shift(kShift, raw));
+}
+
+template uint32_t Crc32cXorWord<492>(uint32_t crc, uint64_t delta);
 
 }  // namespace vlog::common

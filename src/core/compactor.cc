@@ -4,23 +4,18 @@
 
 namespace vlog::core {
 
-std::vector<uint64_t> CompactableTracks(const FreeSpaceMap& space,
-                                        std::span<const uint32_t> pinned_blocks) {
-  std::vector<uint64_t> pinned_tracks;
-  pinned_tracks.reserve(pinned_blocks.size());
-  for (const uint32_t block : pinned_blocks) {
-    if (space.state(block) == BlockState::kLive) {
-      pinned_tracks.push_back(space.TrackOfBlock(block));
-    }
-  }
-  std::sort(pinned_tracks.begin(), pinned_tracks.end());
+std::vector<uint64_t> PinnedOccupiedTracks(const FreeSpaceMap& space,
+                                           std::span<const uint32_t> pinned_blocks) {
   std::vector<uint64_t> tracks;
-  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    if (space.LiveInTrack(t) != 0 && !space.TrackHasSystem(t) &&
-        !std::binary_search(pinned_tracks.begin(), pinned_tracks.end(), t)) {
-      tracks.push_back(t);
+  tracks.reserve(pinned_blocks.size());
+  for (const uint32_t block : pinned_blocks) {
+    const uint64_t track = space.TrackOfBlock(block);
+    if (space.state(block) == BlockState::kLive && !space.TrackHasSystem(track)) {
+      tracks.push_back(track);
     }
   }
+  std::sort(tracks.begin(), tracks.end());
+  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
   return tracks;
 }
 
@@ -53,12 +48,14 @@ bool Compactor::Compactable(uint64_t track) const {
 }
 
 std::optional<uint64_t> Compactor::PickVictim() {
-  const std::vector<uint64_t> candidates =
-      CompactableTracks(allocator_->space(), vlog_->PinnedBlocks());
-  if (candidates.empty()) {
+  // A uniform draw over the candidates in ascending track order, made without listing them.
+  const FreeSpaceMap& space = allocator_->space();
+  const std::vector<uint64_t> pinned = PinnedOccupiedTracks(space, vlog_->PinnedBlocks());
+  const uint64_t candidates = space.OccupiedTrackCount() - pinned.size();
+  if (candidates == 0) {
     return std::nullopt;
   }
-  return candidates[rng_.Below(candidates.size())];
+  return space.SelectOccupiedTrack(rng_.Below(candidates), pinned);
 }
 
 bool Compactor::CompactTrack(uint64_t track, common::Time deadline, bool preemptible,

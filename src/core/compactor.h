@@ -45,12 +45,12 @@ struct CompactorStats {
   common::Duration busy_time = 0;
 };
 
-// The tracks a compactor may pick as victims, ascending: tracks with live blocks, no system
-// block, and no live block among `pinned_blocks`. Pinned map sectors cannot be moved (their
+// The tracks a compactor may pick as victims are the occupied tracks (live blocks, no system
+// block; FreeSpaceMap::OccupiedTrackCount) minus these: the occupied tracks holding a live
+// block among `pinned_blocks`, sorted and distinct. Pinned map sectors cannot be moved (their
 // on-disk pointers are load-bearing); the pinned-sector valve bounds how long that lasts.
-// Costs one pass over the pinned blocks plus one per-track count check, never a block probe.
-std::vector<uint64_t> CompactableTracks(const FreeSpaceMap& space,
-                                        std::span<const uint32_t> pinned_blocks);
+std::vector<uint64_t> PinnedOccupiedTracks(const FreeSpaceMap& space,
+                                           std::span<const uint32_t> pinned_blocks);
 
 class Compactor {
  public:

@@ -24,6 +24,7 @@ FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block
   index_words_ = (tracks + 63) / 64;
   hole_index_.assign(static_cast<size_t>(blocks_per_track_) * index_words_, 0);
   hole_level_size_.assign(blocks_per_track_, 0);
+  occupied_.assign(index_words_, 0);
   // Everything starts free: whole-word fills, since crash-sweep recovery builds one map per
   // point.
   track_words_ = (blocks_per_track_ + 63) / 64;
@@ -56,6 +57,17 @@ void FreeSpaceMap::SetFreeBit(uint32_t block, bool free) {
   }
 }
 
+void FreeSpaceMap::SetOccupied(uint64_t track, bool occupied) {
+  const uint64_t bit = uint64_t{1} << (track % 64);
+  if (occupied) {
+    occupied_[track / 64] |= bit;
+    ++occupied_tracks_;
+  } else {
+    occupied_[track / 64] &= ~bit;
+    --occupied_tracks_;
+  }
+}
+
 void FreeSpaceMap::IndexRemove(uint64_t track) {
   if (HasHoles(track)) {
     const uint32_t live = track_live_[track];
@@ -83,7 +95,9 @@ void FreeSpaceMap::MarkSystem(uint32_t block) {
   }
   --track_free_[track];
   --cyl_free_[CylinderOfTrack(track)];
-  ++track_system_[track];
+  if (++track_system_[track] == 1 && track_live_[track] > 0) {
+    SetOccupied(track, false);
+  }
   --free_blocks_;
   ++system_blocks_;
   IndexInsert(track);
@@ -100,7 +114,9 @@ void FreeSpaceMap::MarkLive(uint32_t block) {
   }
   --track_free_[track];
   --cyl_free_[CylinderOfTrack(track)];
-  ++track_live_[track];
+  if (++track_live_[track] == 1 && track_system_[track] == 0) {
+    SetOccupied(track, true);
+  }
   --free_blocks_;
   ++live_blocks_;
   IndexInsert(track);
@@ -114,7 +130,9 @@ void FreeSpaceMap::Free(uint32_t block) {
   IndexRemove(track);
   ++track_free_[track];
   ++cyl_free_[CylinderOfTrack(track)];
-  --track_live_[track];
+  if (--track_live_[track] == 0 && track_system_[track] == 0) {
+    SetOccupied(track, false);
+  }
   ++free_blocks_;
   --live_blocks_;
   if (TrackEmpty(track)) {
@@ -135,6 +153,26 @@ uint32_t FreeSpaceMap::FirstSlotFrom(uint32_t from_sector) const {
 
 uint32_t FreeSpaceMap::SkipTo(uint32_t slot, uint32_t from_sector) const {
   return (slot * block_sectors_ + sectors_per_track_ - from_sector) % sectors_per_track_;
+}
+
+uint64_t FreeSpaceMap::SelectOccupiedTrack(uint64_t r, std::span<const uint64_t> skip) const {
+  size_t next_skip = 0;
+  for (uint64_t w = 0; w < index_words_; ++w) {
+    uint64_t bits = occupied_[w];
+    for (; next_skip < skip.size() && skip[next_skip] / 64 == w; ++next_skip) {
+      bits &= ~(uint64_t{1} << (skip[next_skip] % 64));
+    }
+    const auto count = static_cast<uint64_t>(std::popcount(bits));
+    if (r < count) {
+      for (; r > 0; --r) {
+        bits &= bits - 1;  // Drop the lowest set bit.
+      }
+      return w * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+    }
+    r -= count;
+  }
+  assert(false && "SelectOccupiedTrack: r out of range");
+  return total_tracks();
 }
 
 std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track, uint32_t from_sector,

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/simdisk/geometry.h"
@@ -59,6 +60,16 @@ class FreeSpaceMap {
   // True when any block of the track is reserved (such tracks are not compaction victims).
   bool TrackHasSystem(uint64_t track) const { return track_system_[track] != 0; }
 
+  // Occupied tracks: those holding live blocks and no system block — the compactor's victim
+  // candidates before pinned map sectors rule some out. Kept as a bitset plus a count, changed
+  // only when MarkSystem, MarkLive or Free moves a track in or out, so a victim pick costs a
+  // word walk instead of a per-track scan.
+  uint64_t OccupiedTrackCount() const { return occupied_tracks_; }
+  // The r-th occupied track (from 0, ascending) that is not in `skip`. `skip` must be sorted,
+  // distinct and hold only occupied tracks, and r < OccupiedTrackCount() - skip.size().
+  // O(tracks / 64 + skip.size()).
+  uint64_t SelectOccupiedTrack(uint64_t r, std::span<const uint64_t> skip) const;
+
   // The free block in `track` whose starting sector is rotationally nearest at or after
   // `from_sector`, scanning circularly. Returns the block and, via `skip_sectors`, the
   // rotational distance in sectors from `from_sector` to the block's first sector.
@@ -98,6 +109,8 @@ class FreeSpaceMap {
   void IndexInsert(uint64_t track);
   // Sets or clears `block`'s bit in both free-slot masks.
   void SetFreeBit(uint32_t block, bool free);
+  // Moves `track` into or out of the occupied set.
+  void SetOccupied(uint64_t track, bool occupied);
   // The slot index of the first block starting at or after `from_sector`, wrapping to slot 0.
   uint32_t FirstSlotFrom(uint32_t from_sector) const;
   // Rotational distance in sectors from `from_sector` to the start of `slot`.
@@ -122,6 +135,10 @@ class FreeSpaceMap {
   uint64_t index_words_ = 0;
   std::vector<uint64_t> hole_index_;
   std::vector<uint32_t> hole_level_size_;
+  // Occupied-track bitset (bit t % 64 of word t / 64 set exactly when track t has live blocks
+  // and no system block) and its population count.
+  std::vector<uint64_t> occupied_;
+  uint64_t occupied_tracks_ = 0;
   // Free-slot masks, kept in step with states_ by MarkSystem, MarkLive and Free:
   //  - bit s % 64 of free_slots_[t * track_words_ + s / 64] is set exactly when slot s of
   //    track t is kFree (bits past blocks_per_track_ stay clear);

@@ -72,6 +72,34 @@ void MapSector::SerializeWithEntries(std::span<std::byte> out,
   common::StoreLe<uint32_t>(out, kOffCrc, crc);
 }
 
+bool MapSector::HoldsEntries(std::span<const std::byte> raw,
+                             std::span<const uint32_t> piece_entries) {
+  const size_t count = piece_entries.size();
+  if (count > kEntriesPerSector || common::LoadLe<uint32_t>(raw, kOffEntryCount) != count) {
+    return false;
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    return count == 0 ||
+           std::memcmp(raw.data() + kOffEntries, piece_entries.data(), count * 4) == 0;
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      if (common::LoadLe<uint32_t>(raw, kOffEntries + i * 4) != piece_entries[i]) {
+        return false;
+      }
+    }
+    return true;
+  }
+}
+
+void MapSector::RestampSeq(std::span<std::byte> raw, uint64_t seq) {
+  const uint64_t old_seq = common::LoadLe<uint64_t>(raw, kOffSeq);
+  common::StoreLe<uint64_t>(raw, kOffSeq, seq);
+  constexpr size_t kTail = kOffCrc - kOffSeq - 8;  // CRC-covered bytes after the seq field.
+  common::StoreLe<uint32_t>(
+      raw, kOffCrc,
+      common::Crc32cXorWord<kTail>(common::LoadLe<uint32_t>(raw, kOffCrc), old_seq ^ seq));
+}
+
 common::StatusOr<MapSector> MapSector::Parse(std::span<const std::byte> raw, uint64_t epoch) {
   if (raw.size() < kMapSectorBytes) {
     return common::InvalidArgument("map sector: short buffer");

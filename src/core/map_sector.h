@@ -78,6 +78,14 @@ struct MapSector {
     return common::LoadLe<uint64_t>(raw, kSeqOffset);
   }
 
+  // In-place reuse of a serialized sector (the checkpoint memo). HoldsEntries: does `raw`, a
+  // sector SerializeWithEntries produced, carry exactly `piece_entries`? RestampSeq: rewrites
+  // its `seq` and patches its CRC to match, under whatever epoch signed it — the same bytes a
+  // fresh serialization with the new seq would give, without a pass over the sector.
+  static bool HoldsEntries(std::span<const std::byte> raw,
+                           std::span<const uint32_t> piece_entries);
+  static void RestampSeq(std::span<std::byte> raw, uint64_t seq);
+
   // Parses and validates magic + CRC (seeded with `epoch`; must match the serializing
   // generation). Returns kCorruption for anything that is not a well-formed map sector of this
   // generation (e.g. a recycled sector now holding file data, or a stale pre-format sector).

@@ -499,16 +499,28 @@ common::Status VirtualLog::WriteCheckpoint(std::span<const uint32_t> flat_map) {
   }
   const uint64_t seq = next_seq_++;
   const uint32_t slot = next_ckpt_slot_;
-  std::vector<std::byte> body(static_cast<size_t>(config_.pieces) * kSectorBytes);
+  // The body is built in place over the previous one (the memo). A memo piece is a pure
+  // function of (entries, seq, epoch), so under an unchanged epoch a piece whose entries still
+  // match differs from its new bytes only in `seq`: restamping it equals serializing it.
+  std::vector<std::byte>& body = ckpt_body_;
+  const bool memo_valid = ckpt_body_epoch_ == epoch_ && !body.empty();
+  body.resize(static_cast<size_t>(config_.pieces) * kSectorBytes);
+  ckpt_body_epoch_ = epoch_;
   MapSector sector;
   sector.seq = seq;
   for (uint32_t k = 0; k < config_.pieces; ++k) {
     const size_t begin = static_cast<size_t>(k) * kEntriesPerSector;
+    const auto entries =
+        flat_map.subspan(begin, std::min<size_t>(kEntriesPerSector, flat_map.size() - begin));
+    const auto out =
+        std::span<std::byte>(body).subspan(static_cast<size_t>(k) * kSectorBytes, kSectorBytes);
+    if (memo_valid && MapSector::HoldsEntries(out, entries)) {
+      MapSector::RestampSeq(out, seq);
+      ++stats_.checkpoint_pieces_reused;
+      continue;
+    }
     sector.piece = k;
-    sector.SerializeWithEntries(
-        std::span<std::byte>(body).subspan(static_cast<size_t>(k) * kSectorBytes, kSectorBytes),
-        flat_map.subspan(begin, std::min<size_t>(kEntriesPerSector, flat_map.size() - begin)),
-        epoch_);
+    sector.SerializeWithEntries(out, entries, epoch_);
   }
   // Piece sectors first, CRC-signed header last: the header write is the commit point. A crash
   // before it leaves the other slot's checkpoint (and the log it bounds) untouched. The barrier
@@ -885,6 +897,9 @@ std::optional<uint32_t> VirtualLog::LiveBlockOfPiece(uint32_t piece) const {
 
 std::vector<uint32_t> VirtualLog::PiecesAtBlock(uint32_t block) const {
   std::vector<uint32_t> pieces;
+  if (!block_sector_count_.contains(block)) {
+    return pieces;  // No live or pinned map sector: a data block (the compactor's usual case).
+  }
   for (uint64_t seq = chain_oldest_; seq != 0; seq = chain_.at(seq).newer) {
     const ChainNode& node = chain_.at(seq);
     if (allocator_->space().LbaToBlock(node.lba) == block) {

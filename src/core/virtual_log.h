@@ -92,6 +92,9 @@ struct VirtualLogStats {
   uint64_t auto_checkpoints = 0;  // Checkpoints forced by the pinned-sector valve.
   uint64_t packed_transactions = 0;  // Group commits that packed sectors into shared blocks.
   uint64_t packed_sectors = 0;       // Map sectors written through the packed path.
+  // Checkpoint piece sectors restamped from the previous checkpoint's bytes (entries unchanged)
+  // instead of serialized again.
+  uint64_t checkpoint_pieces_reused = 0;
 
   // Snapshot/diff: stats are plain values, so a measurement window is a copy + subtraction.
   VirtualLogStats operator-(const VirtualLogStats& rhs) const {
@@ -104,6 +107,7 @@ struct VirtualLogStats {
     d.auto_checkpoints = auto_checkpoints - rhs.auto_checkpoints;
     d.packed_transactions = packed_transactions - rhs.packed_transactions;
     d.packed_sectors = packed_sectors - rhs.packed_sectors;
+    d.checkpoint_pieces_reused = checkpoint_pieces_reused - rhs.checkpoint_pieces_reused;
     return d;
   }
 };
@@ -278,6 +282,11 @@ class VirtualLog {
   // Reused serialization buffer for the single-sector append path (one map write per update:
   // a fresh vector per append showed up in profiles).
   std::vector<std::byte> append_scratch_;
+  // The last checkpoint body WriteCheckpoint built (pieces x 512 bytes), signed under
+  // ckpt_body_epoch_; the next checkpoint restamps its unchanged pieces instead of serializing
+  // them. Keyed by the epoch alone: its bytes depend on nothing else the log state holds.
+  std::vector<std::byte> ckpt_body_;
+  uint64_t ckpt_body_epoch_ = 0;
   VirtualLogStats stats_;
 };
 

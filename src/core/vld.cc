@@ -559,7 +559,8 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   std::vector<common::Time>& read_done = flush_read_done_;
   std::vector<bool>& serviced = flush_serviced_;
   std::vector<int64_t>& first_media = flush_first_media_;
-  // Read payloads leave with their completions, so each is a fresh buffer.
+  // Read payloads leave with their completions: each takes a pooled write buffer when there is
+  // one, else a fresh one.
   std::vector<std::vector<std::byte>>& read_data = flush_read_data_;
   staged.clear();
   dispatch.assign(batch.size(), 0);
@@ -581,7 +582,11 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
       RETURN_IF_ERROR(StageHostWrite(req.lba, req.data, &staged));
     } else {
       ++stats_.host_reads;
-      read_data[i].resize(req.sectors * disk_->SectorBytes());
+      if (!payload_pool_.empty()) {
+        read_data[i] = std::move(payload_pool_.back());
+        payload_pool_.pop_back();
+      }
+      read_data[i].resize(req.sectors * disk_->SectorBytes());  // ServiceQueuedRead fills all.
       uint64_t forwarded = 0;
       RETURN_IF_ERROR(ServiceQueuedRead(batch, i, read_data[i], &forwarded));
       stats_.forwarded_read_sectors += forwarded;
@@ -739,9 +744,13 @@ common::Status Vld::RelocateDataBlock(uint32_t phys_block) {
   if (logical == kUnmappedBlock) {
     return common::FailedPrecondition("RelocateDataBlock: not a data block");
   }
-  const uint32_t sector_bytes = disk_->SectorBytes();
-  std::vector<std::byte> data(static_cast<size_t>(config_.block_sectors) * sector_bytes);
-  RETURN_IF_ERROR(disk_->InternalRead(space_.BlockToLba(phys_block), data));
+  // Zero-copy read (same mechanics as InternalRead). The view stays valid through the one
+  // media write StageBlockWrite makes, which lands on a freshly allocated, so different, block.
+  const std::span<const std::byte> data =
+      disk_->InternalReadView(space_.BlockToLba(phys_block), config_.block_sectors);
+  if (data.empty()) {
+    return common::IoError("RelocateDataBlock: block out of range");
+  }
   std::vector<StagedWrite> staged;
   RETURN_IF_ERROR(StageBlockWrite(logical, data, &staged));
   RETURN_IF_ERROR(CommitStaged(staged));

@@ -1,7 +1,6 @@
 #include "src/workload/array_sweep.h"
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -59,8 +58,7 @@ common::StatusOr<ArrayReadResult> RunArrayRandomReads(array::VldArray& array, in
     payloads_ok &= got == want;
   }
   ArrayReadResult result;
-  static_cast<LatencySummary&>(result) =
-      SummarizeLatencies(std::move(latencies), array.Now() - start);
+  static_cast<LatencySummary&>(result) = SummarizeLatencies(latencies, array.Now() - start);
   result.payloads_ok = payloads_ok;
   return result;
 }

@@ -17,7 +17,7 @@ constexpr size_t kUpdateBytes = 4096;
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
-LatencySummary SummarizeLatencies(std::vector<common::Duration> latencies,
+LatencySummary SummarizeLatencies(std::span<const common::Duration> latencies,
                                   common::Duration elapsed) {
   LatencySummary s;
   s.requests = latencies.size();
@@ -31,14 +31,6 @@ LatencySummary SummarizeLatencies(std::vector<common::Duration> latencies,
     s.latency_hist.Record(lat);
   }
   s.mean_latency = total / static_cast<common::Duration>(latencies.size());
-  std::sort(latencies.begin(), latencies.end());
-  const auto exact_pct = [&](size_t pct) {
-    return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
-  };
-  s.p50_latency = exact_pct(50);
-  s.p90_latency = exact_pct(90);
-  s.p99_latency = exact_pct(99);
-  s.max_latency = latencies.back();
   return s;
 }
 
@@ -100,8 +92,7 @@ common::StatusOr<QueueDepthResult> RunClosedLoopUpdates(
   }
 
   QueueDepthResult result;
-  static_cast<LatencySummary&>(result) =
-      SummarizeLatencies(std::move(latencies), dev.Now() - start);
+  static_cast<LatencySummary&>(result) = SummarizeLatencies(latencies, dev.Now() - start);
   result.depth = depth;
   result.mean_queue_delay =
       result.requests == 0 ? 0

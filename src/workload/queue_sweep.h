@@ -11,6 +11,7 @@
 #define SRC_WORKLOAD_QUEUE_SWEEP_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -25,22 +26,17 @@
 
 namespace vlog::workload {
 
-// What the measured requests of a run cost: their count and rate, and exact order statistics
-// of the per-request latencies (read off the sorted sample, not estimated from the histogram)
-// beside the mergeable histogram.
+// What the measured requests of a run cost: their count, rate and mean latency, and the
+// mergeable histogram every percentile is read from.
 struct LatencySummary {
   uint64_t requests = 0;  // Measured requests (excludes warmup).
   double iops = 0;        // Measured requests per simulated second.
   common::Duration mean_latency = 0;
-  common::Duration p50_latency = 0;
-  common::Duration p90_latency = 0;
-  common::Duration p99_latency = 0;
-  common::Duration max_latency = 0;
   obs::LatencyHistogram latency_hist;  // Per-request latencies (ns), mergeable.
 };
 
 // Summarizes `latencies`, measured over `elapsed` of simulated time.
-LatencySummary SummarizeLatencies(std::vector<common::Duration> latencies,
+LatencySummary SummarizeLatencies(std::span<const common::Duration> latencies,
                                   common::Duration elapsed);
 
 struct QueueDepthResult : LatencySummary {

@@ -131,6 +131,32 @@ TEST(Crc32, MatchesPortablePath) {
   }
 }
 
+// A checkpoint restamps an unchanged map sector's seq (the 8-byte word at offset 8 of a 508-byte
+// CRC-covered body, 492 bytes from its end) by patching its CRC instead of recomputing it. The
+// patch must equal the recomputed CRC for every seed (the folded format epoch), old word and
+// new word, random and adjacent alike.
+TEST(Crc32, XorWordPatchMatchesFullRecompute) {
+  constexpr size_t kBody = 508;
+  constexpr size_t kWordAt = 8;
+  Rng rng(20261020);
+  std::vector<std::byte> msg(kBody);
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (std::byte& b : msg) {
+      b = static_cast<std::byte>(rng.Next());
+    }
+    const uint64_t epoch = trial < 2 ? trial * ~uint64_t{0} : rng.Next();
+    const auto seed = static_cast<uint32_t>(epoch) ^ static_cast<uint32_t>(epoch >> 32);
+    const uint64_t old_word = rng.Below(1u << 20);
+    const uint64_t new_word = trial % 2 == 0 ? old_word + 1 + rng.Below(64) : rng.Next();
+    StoreLe<uint64_t>(msg, kWordAt, old_word);
+    const uint32_t old_crc = Crc32c(msg, seed);
+    StoreLe<uint64_t>(msg, kWordAt, new_word);
+    ASSERT_EQ(Crc32cXorWord<kBody - kWordAt - 8>(old_crc, old_word ^ new_word), Crc32c(msg, seed))
+        << "trial " << trial;
+  }
+  EXPECT_EQ(Crc32cXorWord<492>(0x12345678u, 0), 0x12345678u) << "a zero delta changes nothing";
+}
+
 TEST(Crc32, PortableKnownVector) {
   const char* s = "123456789";
   std::vector<std::byte> data;

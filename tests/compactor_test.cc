@@ -283,8 +283,8 @@ std::optional<uint64_t> BruteForceFullestWithHoles(const FreeSpaceMap& space,
   return best;
 }
 
-// The victim candidate list exactly as the compactor built it before: every track checked
-// block by block for a live pinned block.
+// The victim candidate list, ascending, the way the compactor once built it: every track
+// checked block by block for a live pinned block.
 std::vector<uint64_t> BruteForceCompactable(const FreeSpaceMap& space,
                                             const std::set<uint32_t>& pinned) {
   std::vector<uint64_t> tracks;
@@ -305,8 +305,8 @@ std::vector<uint64_t> BruteForceCompactable(const FreeSpaceMap& space,
 }
 
 // Seeded differential: random MarkLive / Free / MarkSystem traffic, a random excluded track and
-// a random pinned set. After every op the indexed hole-plug pick, the victim candidate list and
-// the empty-track count must equal their brute-force scans.
+// a random pinned set. After every op the indexed hole-plug pick, the occupied-track count, the
+// victim pick for every draw and the empty-track count must equal their brute-force scans.
 TEST(CompactionIndex, MatchesBruteForceScans) {
   // 72 tracks of 8 blocks each: two bitset words per live-count level, the second partly used.
   const simdisk::DiskGeometry geometry{.cylinders = 18, .tracks_per_cylinder = 4,
@@ -316,6 +316,7 @@ TEST(CompactionIndex, MatchesBruteForceScans) {
   common::Rng rng(20261017);
   std::vector<uint32_t> live;  // Live blocks, for O(1) random frees.
   uint64_t picks_found = 0;
+  uint64_t picks_skipping_pinned = 0;
   for (int op = 0; op < 10000; ++op) {
     // Alternate filling and draining phases so every live-count level gets exercised, full
     // tracks included.
@@ -352,8 +353,21 @@ TEST(CompactionIndex, MatchesBruteForceScans) {
                                                      : static_cast<uint32_t>(rng.Below(blocks)));
     }
     const std::vector<uint32_t> pinned_list(pinned.begin(), pinned.end());
-    ASSERT_EQ(CompactableTracks(space, pinned_list), BruteForceCompactable(space, pinned))
-        << "op " << op;
+    uint64_t occupied = 0;
+    for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+      occupied += space.LiveInTrack(t) != 0 && !space.TrackHasSystem(t) ? 1 : 0;
+    }
+    ASSERT_EQ(space.OccupiedTrackCount(), occupied) << "op " << op;
+    // The victim pick: a draw below the candidate count selects that occupied track, stepping
+    // over the pinned ones. Every draw must land on the brute-force list's entry at its index.
+    const std::vector<uint64_t> candidates = BruteForceCompactable(space, pinned);
+    const std::vector<uint64_t> skip = PinnedOccupiedTracks(space, pinned_list);
+    ASSERT_EQ(space.OccupiedTrackCount() - skip.size(), candidates.size()) << "op " << op;
+    for (size_t draw = 0; draw < candidates.size(); ++draw) {
+      ASSERT_EQ(space.SelectOccupiedTrack(draw, skip), candidates[draw])
+          << "op " << op << " draw " << draw;
+    }
+    picks_skipping_pinned += skip.empty() ? 0 : 1;
 
     uint64_t empty = 0;
     for (uint64_t t = 0; t < space.total_tracks(); ++t) {
@@ -362,6 +376,7 @@ TEST(CompactionIndex, MatchesBruteForceScans) {
     ASSERT_EQ(space.EmptyTrackCount(), empty) << "op " << op;
   }
   EXPECT_GT(picks_found, 5000u) << "the walk should mostly leave some track with holes";
+  EXPECT_GT(picks_skipping_pinned, 5000u) << "most picks should step over pinned tracks";
   EXPECT_GT(space.system_blocks(), 0u);
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/map_sector.h"
@@ -152,6 +154,36 @@ TEST(MapSector, ParseMatchesPerEntryDecodeForEveryCount) {
         want |= static_cast<uint32_t>(static_cast<uint8_t>(raw[68 + i * 4 + b])) << (8 * b);
       }
       ASSERT_EQ(parsed->entries[i], want) << "count " << count << " entry " << i;
+    }
+  }
+}
+
+// The checkpoint memo's two primitives. For every entry count, under random epochs and seqs:
+// HoldsEntries accepts the serialized entries and rejects a one-entry change or a different
+// count, and RestampSeq turns the bytes for one seq into exactly the bytes for another.
+TEST(MapSector, RestampSeqEqualsSerializeAndHoldsEntriesMatches) {
+  common::Rng rng(492);
+  for (uint32_t count = 0; count <= kEntriesPerSector; ++count) {
+    MapSector s;
+    s.piece = count;
+    s.seq = rng.Next();
+    s.entries.resize(count);
+    for (uint32_t& e : s.entries) {
+      e = static_cast<uint32_t>(rng.Next());
+    }
+    const uint64_t epoch = rng.Next();
+    std::vector<std::byte> raw = s.Serialize(epoch);
+    ASSERT_TRUE(MapSector::HoldsEntries(raw, s.entries)) << "count " << count;
+    if (count > 0) {
+      std::vector<uint32_t> changed = s.entries;
+      changed[rng.Below(count)] ^= 1u << rng.Below(32);
+      EXPECT_FALSE(MapSector::HoldsEntries(raw, changed)) << "count " << count;
+      EXPECT_FALSE(MapSector::HoldsEntries(raw, std::span(s.entries).first(count - 1)));
+    }
+    for (int step = 0; step < 4; ++step) {
+      s.seq = step % 2 == 0 ? s.seq + 1 : rng.Next();
+      MapSector::RestampSeq(raw, s.seq);
+      ASSERT_EQ(raw, s.Serialize(epoch)) << "count " << count << " step " << step;
     }
   }
 }
